@@ -62,8 +62,6 @@ from .operators import (
     build_gaussian_kernel,
     build_motion_kernel,
     dense_materialize,
-    read_grid,
-    write_grid,
 )
 from .oracle import (
     LinearGaussianModel,

@@ -13,12 +13,12 @@ with a one-time warning otherwise.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeMismatchError, ZeroScaleError
-from .fields import warn_anisotropic_once
 from .numerics import RealField, as_field
 
 ENCODE_RIDGE = 1e-10
@@ -166,7 +166,18 @@ def gram_scalar(decoder: DecoderSpec) -> float:
     dev = float(np.max(np.abs(gram - kappa2 * np.eye(gram.shape[0]))))
     if dev <= GRAM_ISO_RTOL * max(1.0, abs(kappa2)):
         return kappa2
-    warn_anisotropic_once(
-        "decoder Gram matrix is not isotropic; guidance treats it as identity"
-    )
+    _warn_anisotropic_once()
     return 1.0
+
+
+_warned_anisotropic = False
+
+
+def _warn_anisotropic_once() -> None:
+    global _warned_anisotropic
+    if not _warned_anisotropic:
+        warnings.warn(
+            "decoder Gram matrix is not isotropic; guidance treats it as identity",
+            stacklevel=3,
+        )
+        _warned_anisotropic = True

@@ -8,7 +8,14 @@ from __future__ import annotations
 
 
 class LflowError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    An error that interrupts `sampler.integrate` carries the partial
+    Trajectory of that run (NFE and clamp events spent so far) as
+    `trajectory`; it is None everywhere else.
+    """
+
+    trajectory = None
 
 
 class ShapeMismatchError(LflowError):

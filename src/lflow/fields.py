@@ -24,7 +24,6 @@ box.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -183,13 +182,3 @@ def jacobian_bounds(gamma: float, t: float) -> tuple[float, float]:
     upper = 1.0 / t
     return lower, upper
 
-
-_warned_anisotropic = False
-
-
-def warn_anisotropic_once(message: str) -> None:
-    """One-shot warning helper shared by the guidance path."""
-    global _warned_anisotropic
-    if not _warned_anisotropic:
-        warnings.warn(message, stacklevel=3)
-        _warned_anisotropic = True

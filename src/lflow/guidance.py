@@ -12,10 +12,10 @@ likelihood built from three pieces:
 Those combine into grad = c(t) J^T A^T S^{-1} (y - A decode(z_bar)) with
 S = sigma_y^2 I + r2(t) kappa^2 A A^T, where kappa^2 is the decoder Gram
 factor. `inner_vector` evaluates A^T S^{-1} residual, the only part that
-touches the operator structure: masks divide entrywise, circular
-convolutions divide in the spectrum, downsampling divides against the
-block-folded spectrum, and everything else goes through conjugate
-gradients on S.
+touches the operator structure. Every operator diagonalizes A A^T in its
+own basis (see `lflow.operators`), so the closed form divides the
+residual's basis coefficients by sigma_y^2 + r2 lambda, mode by mode; the
+conjugate-gradient solver is the iterative reference.
 
 In the linear-Gaussian setting (analytic field, identity or scaling
 decoder) nothing here is approximate: the gradient equals the gradient
@@ -32,7 +32,6 @@ import numpy as np
 from .decoders import DecoderSpec, DiagonalScaleDecoder, IdentityDecoder, decode, gram_scalar, vjp
 from .errors import CgConvergenceError
 from .fields import (
-    AnalyticGaussianField,
     CovarianceMode,
     VectorFieldSpec,
     eval_field,
@@ -40,14 +39,8 @@ from .fields import (
     posterior_cov_scalar,
     posterior_mean,
 )
-from .numerics import RealField, as_field, dft2_forward, dft2_inverse
-from .operators import (
-    CircConvOperator,
-    ConvDownsampleOperator,
-    DenseOperator,
-    LinearOperatorDescriptor,
-    MaskOperator,
-)
+from .numerics import RealField, as_field
+from .operators import LinearOperatorDescriptor
 
 CG_MAX_ITER_DEFAULT = 500
 CG_TOL_DEFAULT = 1e-10
@@ -55,7 +48,7 @@ CG_TOL_DEFAULT = 1e-10
 
 @dataclass(frozen=True)
 class ClosedFormSolver:
-    """Use the per-operator entrywise/spectral closed forms."""
+    """Solve mode by mode in the operator's own A A^T eigenbasis."""
 
 
 @dataclass(frozen=True)
@@ -82,8 +75,8 @@ class GuidanceSpec:
     k_steps is the number of correction passes per velocity evaluation.
     Each pass recomputes the denoised mean from the current corrected
     velocity before re-evaluating the gradient, so passes beyond the
-    first actually move; set literal_update=True for the plain repeated
-    (idempotent) update instead.
+    first actually move. literal_update=True repeats the single-pass
+    update instead, which is idempotent, so it runs one pass (K = 1).
     """
 
     cov_mode: CovarianceMode = CovarianceMode()
@@ -143,25 +136,13 @@ def inner_vector(op: LinearOperatorDescriptor, residual, sigma_y: float, r2: flo
                  solver: SolverSpec | None = None) -> RealField:
     """Evaluate A^T (sigma_y^2 I + r2 A A^T)^{-1} residual.
 
-    The structured operators use exact closed forms; dense operators, or
-    any operator when a ConjugateGradientSolver is passed, solve the
-    system iteratively.
+    The closed form divides in the operator's eigenbasis of A A^T; a
+    ConjugateGradientSolver solves the system iteratively instead.
     """
     residual = as_field(residual)
     if isinstance(solver, ConjugateGradientSolver):
         return _inner_vector_cg(op, residual, sigma_y, r2, solver.tol, solver.max_iter)
-    sy2 = sigma_y * sigma_y
-    if isinstance(op, MaskOperator):
-        return op.adjoint(residual / (sy2 + r2))
-    if isinstance(op, CircConvOperator):
-        u_hat = dft2_forward(residual) / (sy2 + r2 * op.khat_abs2)
-        return dft2_inverse(np.conj(op.khat) * u_hat)
-    if isinstance(op, ConvDownsampleOperator):
-        u_hat = dft2_forward(residual) / (sy2 + r2 * op.khat_abs2_block)
-        tiled = np.tile(u_hat, (op.factor, op.factor))
-        return dft2_inverse(np.conj(op.khat) * tiled)
-    return _inner_vector_cg(op, residual, sigma_y, r2,
-                            CG_TOL_DEFAULT, CG_MAX_ITER_DEFAULT)
+    return op.adjoint_coeffs(op.coeffs(residual) / (sigma_y * sigma_y + r2 * op.gram_eigenvalues))
 
 
 def _gradient_at_mean(spec: GuidanceSpec, field: VectorFieldSpec, dec: DecoderSpec,
@@ -186,10 +167,9 @@ def corrected_velocity(spec: GuidanceSpec, field: VectorFieldSpec, dec: DecoderS
                        op: LinearOperatorDescriptor, y, z, t: float) -> RealField:
     """Unconditional velocity minus t/(1-t) times the likelihood gradient.
 
-    Runs spec.k_steps correction passes. Pass k re-derives the denoised
-    mean from the velocity produced by pass k-1 (or always from the
-    unconditional velocity when literal_update is set) and rebuilds the
-    gradient there.
+    The generic reference path. Runs spec.k_steps correction passes (one
+    when literal_update is set); pass k re-derives the denoised mean from
+    the velocity produced by pass k-1 and rebuilds the gradient there.
     """
     y = as_field(y)
     z = as_field(z)
@@ -198,9 +178,8 @@ def corrected_velocity(spec: GuidanceSpec, field: VectorFieldSpec, dec: DecoderS
     v_uncond = eval_field(field, z, t)
     g = t / (1.0 - t)
     v = v_uncond
-    for _ in range(spec.k_steps):
-        base = v_uncond if spec.literal_update else v
-        grad = _gradient_at_mean(spec, field, dec, op, y, z - t * base, t)
+    for _ in range(1 if spec.literal_update else spec.k_steps):
+        grad = _gradient_at_mean(spec, field, dec, op, y, z - t * v, t)
         v = v_uncond - g * grad
     return v
 
@@ -209,52 +188,49 @@ def make_velocity(spec: GuidanceSpec, field: VectorFieldSpec, dec: DecoderSpec,
                   op: LinearOperatorDescriptor, y):
     """Build velocity(z, t) with per-run constants hoisted out of the loop.
 
-    For a dense operator with an analytic field and an identity or
-    scaling decoder, the S-solve reduces to a cached eigenbasis of A A^T
-    (the same solution the iterative path converges to, at a fraction of
-    the cost); everything else falls through to corrected_velocity.
+    With the closed-form solver and an identity or scaling decoder (scale
+    kappa), the K passes of corrected_velocity collapse into one per-mode
+    multiplier. In the operator's basis, with d = sigma_y^2 +
+    r2 kappa^2 lambda, pass one gives w = (y_hat - kappa A_hat z_bar) / d
+    at z_bar = z - t v_u, and pass k gives w (1 - mu + ... + (-mu)^(k-1))
+    with mu = g t c kappa^2 lambda / d, because A A^T acts as lambda on
+    each mode. The K-pass velocity is therefore
+
+        v_u - g c kappa A^T (w (1 - (-mu)^K) / (1 + mu)),
+
+    one forward and one inverse transform per evaluation for any K. Every
+    other combination falls through to corrected_velocity.
     """
     y = as_field(y)
-    fast = (
-        isinstance(op, DenseOperator)
-        and isinstance(field, AnalyticGaussianField)
-        and isinstance(dec, (IdentityDecoder, DiagonalScaleDecoder))
-        and isinstance(spec.solver, ClosedFormSolver)
-    )
-    if not fast:
+    if not (isinstance(spec.solver, ClosedFormSolver)
+            and isinstance(dec, (IdentityDecoder, DiagonalScaleDecoder))):
         def velocity(z, t: float) -> RealField:
             return corrected_velocity(spec, field, dec, op, y, z, t)
         return velocity
 
-    scale = 1.0 if isinstance(dec, IdentityDecoder) else dec.scale
-    kappa2 = scale * scale
-    lam, q = op.gram_eigh()
-    qt_a = q.T @ op.matrix
-    at_q = op.matrix.T @ q
-    qt_y = q.T @ y.ravel()
-    sy2 = spec.sigma_y**2
-    sig2 = field.sigma_latr**2
+    kappa = 1.0 if isinstance(dec, IdentityDecoder) else dec.scale
+    kappa2 = kappa * kappa
+    sy2 = spec.sigma_y * spec.sigma_y
     mode = spec.cov_mode
-    k_steps = spec.k_steps
-    literal = spec.literal_update
-    in_shape = op.input_shape
+    passes = 1 if spec.literal_update else spec.k_steps
+    lam = op.gram_eigenvalues
+    y_hat = op.coeffs(y)
+    apply_coeffs = op.apply_coeffs
+    adjoint_coeffs = op.adjoint_coeffs
 
     def velocity(z, t: float) -> RealField:
-        z = np.asarray(z, dtype=np.float64)
-        s2 = (1.0 - t) ** 2 * sig2 + t * t
-        s_t = (t - (1.0 - t) * sig2) / s2
-        c_t = (1.0 - t) * sig2 / s2
+        v_uncond = eval_field(field, z, t)
+        c = mean_jacobian_scalar(field, t)
         g = t / (1.0 - t)
-        r2 = posterior_cov_scalar(mode, t, field)
-        denom = sy2 + (r2 * kappa2) * lam
-        v_uncond = s_t * z
-        v = v_uncond
-        for _ in range(k_steps):
-            base = v_uncond if literal else v
-            z0_mean = z - t * base
-            w = (qt_y - scale * (qt_a @ z0_mean.ravel())) / denom
-            grad = (c_t * scale) * (at_q @ w)
-            v = v_uncond - g * grad.reshape(in_shape)
-        return v
+        d = sy2 + (posterior_cov_scalar(mode, t, field) * kappa2) * lam
+        # w = (y_hat - kappa * A_hat z_bar) / d, in place on a fresh array.
+        w = apply_coeffs(z - t * v_uncond)
+        w *= -kappa
+        w += y_hat
+        w /= d
+        if passes > 1:
+            mu = (g * t * c * kappa2) * lam / d
+            w *= (1.0 - (-mu) ** passes) / (1.0 + mu)
+        return v_uncond - (g * c * kappa) * adjoint_coeffs(w)
 
     return velocity

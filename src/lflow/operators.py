@@ -11,15 +11,21 @@ Four kinds cover the tasks the package solves plus brute-force testing:
 * `DenseOperator`: an explicit matrix, the anything-goes case used by the
   verification oracle.
 
+Each operator also owns a basis in which A A^T is diagonal, so that
+apply_coeffs(adjoint_coeffs(w)) = gram_eigenvalues * w: `coeffs(y)` expands
+a measurement in it, `apply_coeffs(x)` gives the coefficients of A x, and
+`adjoint_coeffs(w)` applies A^T to the measurement with coefficients w.
+
 Boundary handling is periodic everywhere; that is what makes the Fourier
-closed forms in the guidance module exact rather than approximate. Kernels
-are odd-sized grids anchored at their geometric center (even sizes are
-rejected: they would smuggle in a half-pixel shift).
+bases exact rather than approximate. Kernels are odd-sized grids anchored
+at their geometric center (even sizes are rejected: they would smuggle in
+a half-pixel shift).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,10 +88,11 @@ class MaskOperator:
     Convention: mask value 1 = observed pixel, 0 = hidden. The adjoint
     zero-fills the compact measurement back onto the grid, and
     apply(adjoint(y)) = y exactly (the operator acts as the identity on the
-    measurement space).
+    measurement space), so its basis is the measurement's own entries.
     """
 
     kind = "mask"
+    gram_eigenvalues = 1.0
 
     def __init__(self, mask):
         mask = as_field(mask)
@@ -112,9 +119,21 @@ class MaskOperator:
         out[self._idx] = y
         return out.reshape(self.input_shape)
 
+    def coeffs(self, y) -> np.ndarray:
+        return as_field(y)
+
+    def apply_coeffs(self, x) -> np.ndarray:
+        return self.apply(x)
+
+    def adjoint_coeffs(self, w) -> np.ndarray:
+        return self.adjoint(w)
+
 
 class CircConvOperator:
-    """Circular convolution with a fixed kernel on a fixed grid shape."""
+    """Circular convolution with a fixed kernel on a fixed grid shape.
+
+    Its basis is the 2-D DFT, where A A^T multiplies by |k_hat|^2.
+    """
 
     kind = "circconv"
 
@@ -123,22 +142,33 @@ class CircConvOperator:
         self.input_shape = tuple(shape)
         self.output_shape = tuple(shape)
         self.khat = dft2_forward(embed_kernel(kernel, self.input_shape))
-        self.khat_abs2 = np.abs(self.khat) ** 2
+        self.gram_eigenvalues = np.abs(self.khat) ** 2
+
+    def coeffs(self, y) -> np.ndarray:
+        return dft2_forward(_check_shape("circconv coeffs", y, self.output_shape))
+
+    def apply_coeffs(self, x) -> np.ndarray:
+        x = _check_shape("circconv apply", x, self.input_shape)
+        return self.khat * dft2_forward(x)
+
+    def adjoint_coeffs(self, w) -> np.ndarray:
+        return dft2_inverse(np.conj(self.khat) * w)
 
     def apply(self, x) -> np.ndarray:
-        x = _check_shape("circconv apply", x, self.input_shape)
-        return dft2_inverse(self.khat * dft2_forward(x))
+        return dft2_inverse(self.apply_coeffs(x))
 
     def adjoint(self, y) -> np.ndarray:
-        y = _check_shape("circconv adjoint", y, self.output_shape)
-        return dft2_inverse(np.conj(self.khat) * dft2_forward(y))
+        return self.adjoint_coeffs(self.coeffs(y))
 
 
 class ConvDownsampleOperator:
     """Circular convolution followed by s-fold subsampling of both axes.
 
     The subsample keeps indices 0, s, 2s, ... so the adjoint is zero-fill
-    upsampling followed by correlation with the kernel.
+    upsampling followed by correlation with the kernel. Its basis is the
+    low-resolution DFT: subsampling folds a spectrum onto its s x s aliased
+    blocks (`block_average`) and zero-fill upsampling tiles it, so A A^T
+    multiplies by the block-folded |k_hat|^2.
     """
 
     kind = "convdown"
@@ -157,10 +187,18 @@ class ConvDownsampleOperator:
         self.input_shape = (h, w)
         self.output_shape = (h // factor, w // factor)
         self.khat = dft2_forward(embed_kernel(kernel, self.input_shape))
-        # Block-averaged squared kernel spectrum: the eigenvalues of A A^T
-        # in the low-resolution DFT basis. Subsampling by s maps the full
-        # spectrum onto s x s aliased blocks with weight 1/s^2.
-        self.khat_abs2_block = block_average(np.abs(self.khat) ** 2, factor)
+        self.gram_eigenvalues = block_average(np.abs(self.khat) ** 2, factor)
+
+    def coeffs(self, y) -> np.ndarray:
+        return dft2_forward(_check_shape("convdown coeffs", y, self.output_shape))
+
+    def apply_coeffs(self, x) -> np.ndarray:
+        x = _check_shape("convdown apply", x, self.input_shape)
+        return block_average(self.khat * dft2_forward(x), self.factor)
+
+    def adjoint_coeffs(self, w) -> np.ndarray:
+        tiled = np.tile(w, (self.factor, self.factor))
+        return dft2_inverse(np.conj(self.khat) * tiled)
 
     def apply(self, x) -> np.ndarray:
         x = _check_shape("convdown apply", x, self.input_shape)
@@ -168,14 +206,15 @@ class ConvDownsampleOperator:
         return blurred[:: self.factor, :: self.factor].copy()
 
     def adjoint(self, y) -> np.ndarray:
-        y = _check_shape("convdown adjoint", y, self.output_shape)
-        up = np.zeros(self.input_shape, dtype=np.float64)
-        up[:: self.factor, :: self.factor] = y
-        return dft2_inverse(np.conj(self.khat) * dft2_forward(up))
+        return self.adjoint_coeffs(self.coeffs(y))
 
 
 class DenseOperator:
-    """Explicit matrix acting on flattened input."""
+    """Explicit matrix acting on flattened input.
+
+    Its basis is the eigenvectors Q of A A^T, cached on first use together
+    with Q^T A and A^T Q.
+    """
 
     kind = "dense"
 
@@ -193,7 +232,6 @@ class DenseOperator:
         self.matrix = matrix
         self.input_shape = tuple(input_shape)
         self.output_shape = (m,)
-        self._gram_eigh = None
 
     def apply(self, x) -> np.ndarray:
         x = _check_shape("dense apply", x, self.input_shape)
@@ -203,12 +241,23 @@ class DenseOperator:
         y = _check_shape("dense adjoint", y, self.output_shape)
         return (self.matrix.T @ y).reshape(self.input_shape)
 
-    def gram_eigh(self):
-        """Cached eigendecomposition of A A^T for repeated shifted solves."""
-        if self._gram_eigh is None:
-            vals, vecs = np.linalg.eigh(self.matrix @ self.matrix.T)
-            self._gram_eigh = (vals, vecs)
-        return self._gram_eigh
+    @cached_property
+    def _basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        lam, q = np.linalg.eigh(self.matrix @ self.matrix.T)
+        return lam, q.T, q.T @ self.matrix, self.matrix.T @ q
+
+    @property
+    def gram_eigenvalues(self) -> np.ndarray:
+        return self._basis[0]
+
+    def coeffs(self, y) -> np.ndarray:
+        return self._basis[1] @ as_field(y).ravel()
+
+    def apply_coeffs(self, x) -> np.ndarray:
+        return self._basis[2] @ as_field(x).ravel()
+
+    def adjoint_coeffs(self, w) -> np.ndarray:
+        return (self._basis[3] @ w).reshape(self.input_shape)
 
 
 LinearOperatorDescriptor = (
@@ -361,32 +410,3 @@ def build_box_mask(shape: tuple[int, int], box: tuple[int, int, int, int]) -> np
     mask = np.ones(shape, dtype=np.float64)
     mask[top : top + bh, left : left + bw] = 0.0
     return mask
-
-
-def write_grid(path, array) -> None:
-    """Serialize a 2-D array as text: 'height width' then one row per line."""
-    arr = as_field(array)
-    if arr.ndim != 2:
-        raise ShapeMismatchError(f"grid format is 2-D only, got {arr.ndim}-D")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{arr.shape[0]} {arr.shape[1]}\n")
-        for row in arr:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def read_grid(path) -> np.ndarray:
-    """Parse the plain-text grid format written by write_grid."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: first line must be 'height width'")
-        h, w = int(header[0]), int(header[1])
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(v) for v in line.split()])
-    arr = np.asarray(rows, dtype=np.float64)
-    if arr.shape != (h, w):
-        raise ValueError(f"{path}: header says {h}x{w}, body is {arr.shape}")
-    return arr

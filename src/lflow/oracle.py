@@ -14,7 +14,6 @@ CLI subcommand.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,21 +208,15 @@ def finite_diff_jacobian(f, at, step: float = 1e-5) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def mc_moments(sampler_runner, n_seeds: int, threads: int = 1):
+def mc_moments(sampler_runner, n_seeds: int):
     """Sample mean, covariance, and per-coordinate standard errors.
 
-    Runs sampler_runner(seed) for seed = 0 .. n_seeds-1 (optionally on a
-    thread pool; runs are independent and own their generators) and
-    returns unbiased moments of the stacked outputs.
+    Runs sampler_runner(seed) for seed = 0 .. n_seeds-1 and returns
+    unbiased moments of the stacked outputs.
     """
     if n_seeds < 2:
         raise ValueError(f"need at least 2 seeds, got {n_seeds}")
-    seeds = range(n_seeds)
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(sampler_runner, seeds))
-    else:
-        rows = [sampler_runner(s) for s in seeds]
+    rows = [sampler_runner(s) for s in range(n_seeds)]
     x = np.stack([as_field(r).ravel() for r in rows])
     mean = x.mean(axis=0)
     cov = np.atleast_2d(np.cov(x, rowvar=False, ddof=1))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 from dataclasses import asdict, dataclass
 
 REPORT_COLUMNS = (
@@ -77,11 +76,3 @@ def write_reports_json(reports, path) -> None:
         json.dump(payload, fh, indent=2, sort_keys=False)
         fh.write("\n")
 
-
-def thread_count() -> int:
-    """Batch parallelism cap from LFLOW_THREADS (default 1, minimum 1)."""
-    raw = os.environ.get("LFLOW_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1

@@ -18,7 +18,8 @@ Steppers:
 
 Every accepted state is checked finite; a run never silently returns
 garbage. Failures raise MaxStepsExceededError or StepUnderflowError,
-both carrying the last good state.
+both carrying the last good state; any error raised mid-run also carries
+the partial trajectory, so its NFE is not lost.
 """
 
 from __future__ import annotations
@@ -28,7 +29,13 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .decoders import DecoderSpec, decode, encode
-from .errors import MaxStepsExceededError, NonFiniteError, ShapeMismatchError, StepUnderflowError
+from .errors import (
+    LflowError,
+    MaxStepsExceededError,
+    NonFiniteError,
+    ShapeMismatchError,
+    StepUnderflowError,
+)
 from .fields import VectorFieldSpec, posterior_mean
 from .guidance import GuidanceSpec, make_velocity
 from .numerics import RealField, SeededRng, as_field, gaussian_vector, make_rng
@@ -229,11 +236,16 @@ def integrate(config: SamplerConfig, field: VectorFieldSpec, dec: DecoderSpec,
     rec.add(config.t_s, z)
 
     if isinstance(config.solver, EulerSolver):
-        z = _run_euler(config, f, z, t_min, rec)
+        run = _run_euler
     elif isinstance(config.solver, HeunSolver):
-        z = _run_heun(config, f, z, t_min, rec)
+        run = _run_heun
     else:
-        z = _run_adaptive(config, f, z, t_min, rec)
+        run = _run_adaptive
+    try:
+        z = run(config, f, z, t_min, rec)
+    except LflowError as exc:
+        exc.trajectory = traj
+        raise
     return z, traj
 
 

@@ -1,9 +1,9 @@
 """The straight-line interpolation path and its guidance coefficient.
 
-The package works on the path z_t = (1 - t) z0 + t z1: coefficient
-alpha(t) = 1 - t on the data side, sigma(t) = t on the noise side, constant
-derivatives. Time is clamped to [t_min, t_max] wherever a formula divides by
-t or 1 - t; the clamp window defaults to [1e-3, 1 - 1e-3].
+The package works on the path z_t = (1 - t) z0 + t z1: coefficient 1 - t
+on the data side, t on the noise side. Time is clamped to [t_min, t_max]
+wherever a formula divides by t or 1 - t; the clamp window defaults to
+[1e-3, 1 - 1e-3].
 """
 
 from __future__ import annotations
@@ -27,12 +27,8 @@ def _check_unit_time(t: float) -> float:
 
 @dataclass(frozen=True)
 class PathSchedule:
-    """Straight-line path coefficients with a clamped working window.
-
-    Only the straight-line (conditional optimal transport) path is
-    implemented; the four coefficient methods exist so code written against
-    them stays correct if another path is ever added.
-    """
+    """The straight-line (conditional optimal transport) path with a
+    clamped working window."""
 
     t_min: float = T_MIN_DEFAULT
     t_max: float = T_MAX_DEFAULT
@@ -42,20 +38,6 @@ class PathSchedule:
             raise ValueError(
                 f"need 0 < t_min < t_max < 1, got [{self.t_min}, {self.t_max}]"
             )
-
-    def alpha(self, t: float) -> float:
-        return 1.0 - _check_unit_time(t)
-
-    def sigma(self, t: float) -> float:
-        return _check_unit_time(t)
-
-    def alpha_dot(self, t: float) -> float:
-        _check_unit_time(t)
-        return -1.0
-
-    def sigma_dot(self, t: float) -> float:
-        _check_unit_time(t)
-        return 1.0
 
     def clamp(self, t: float) -> float:
         """Clamp t into [t_min, t_max]. Callers count clamp events."""

@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import config_hash
 from .decoders import DiagonalScaleDecoder, IdentityDecoder, decode
-from .errors import LflowError
+from .errors import ConfigError, LflowError
 from .fields import AnalyticGaussianField, COV_MODE_KINDS, CovarianceMode
 from .guidance import ClosedFormSolver, ConjugateGradientSolver, GuidanceSpec
 from .metrics import mse as mse_metric, psnr, ssim
@@ -36,7 +36,7 @@ from .operators import (
     build_gaussian_kernel,
     build_motion_kernel,
 )
-from .report import RunReport, thread_count
+from .report import RunReport
 from .sampler import (
     AdaptiveHeunSolver,
     EulerSolver,
@@ -91,6 +91,7 @@ _FIELD_MAP = {
     ("run", "out_dir"): "out_dir",
     ("run", "report_format"): "report_format",
 }
+_CONFIG_KEY = {attr: f"[{section}] {key}" for (section, key), attr in _FIELD_MAP.items()}
 
 
 @dataclass(frozen=True)
@@ -134,19 +135,20 @@ class TaskConfig:
     report_format: str = "csv"
 
     def __post_init__(self):
-        for value, allowed in (
-            (self.kind, TASK_KINDS),
-            (self.cov_mode, COV_MODE_KINDS),
-            (self.guidance_solver, GUIDANCE_SOLVER_NAMES),
-            (self.ode_solver, ODE_SOLVER_NAMES),
-            (self.init_mode, INIT_MODES),
-            (self.report_format, REPORT_FORMATS),
-            (self.decoder_kind, ("identity", "scale")),
+        for attr, allowed in (
+            ("kind", TASK_KINDS),
+            ("cov_mode", COV_MODE_KINDS),
+            ("guidance_solver", GUIDANCE_SOLVER_NAMES),
+            ("ode_solver", ODE_SOLVER_NAMES),
+            ("init_mode", INIT_MODES),
+            ("report_format", REPORT_FORMATS),
+            ("decoder_kind", ("identity", "scale")),
         ):
+            value = getattr(self, attr)
             if value not in allowed:
-                raise ValueError(f"{value!r} not one of {allowed}")
+                raise ValueError(f"{_CONFIG_KEY[attr]}: {value!r} not one of {allowed}")
         if self.size < 1:
-            raise ValueError(f"size must be >= 1, got {self.size}")
+            raise ValueError(f"{_CONFIG_KEY['size']}: must be >= 1, got {self.size}")
 
     def to_sections(self) -> dict[str, dict]:
         out: dict[str, dict] = {}
@@ -238,14 +240,31 @@ def default_task_config(kind: str, **overrides) -> TaskConfig:
 
 def task_config_from_sections(sections: dict[str, dict]) -> TaskConfig:
     """Build a TaskConfig from parsed config sections over the preset
-    defaults for the file's task kind."""
+    defaults for the file's task kind.
+
+    The runtime objects are built once here, so a value they reject
+    surfaces as a ConfigError naming its section (and its key where the
+    message knows it) before any run starts.
+    """
     kind = sections.get("task", {}).get("kind", "gaussian-deblur")
-    cfg = default_task_config(kind)
+    if kind not in TASK_KINDS:
+        raise ConfigError(f"[task] kind: {kind!r} not one of {TASK_KINDS}")
     values = {}
     for (section, key), attr in _FIELD_MAP.items():
         if section in sections and key in sections[section]:
             values[attr] = sections[section][key]
-    return replace(cfg, **values)
+    try:
+        cfg = replace(default_task_config(kind), **values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    for section, build in (("task", cfg.build_operator),
+                           ("guidance", cfg.build_guidance),
+                           ("sampler", cfg.build_sampler)):
+        try:
+            build()
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {exc}") from exc
+    return cfg
 
 
 def synthetic_image(size: int = 64) -> np.ndarray:
@@ -317,8 +336,9 @@ def reconstruct(cfg: TaskConfig, y, x_true=None,
 
     Metrics are computed against x_true when available (passed in, or
     regenerated for synthetic configs); otherwise they are NaN. Solver
-    failures produce a report row with a failed status instead of
-    raising. The reconstruction is None exactly when status is not ok.
+    failures produce a report row with a failed status, and the NFE and
+    clamp events spent before the failure, instead of raising. The
+    reconstruction is None exactly when status is not ok.
     """
     start = time.perf_counter()
     y = np.asarray(y, dtype=np.float64)
@@ -345,6 +365,9 @@ def reconstruct(cfg: TaskConfig, y, x_true=None,
             x_hat = inpaint_splice(mask, op.adjoint(y), x_hat)
     except LflowError as exc:
         status = f"failed:{type(exc).__name__}"
+        if exc.trajectory is not None:
+            nfe = exc.trajectory.nfe
+            clamp_events = exc.trajectory.clamp_events
     wall_ms = (time.perf_counter() - start) * 1e3
     if x_true is None and cfg.image == SYNTHETIC_IMAGE:
         x_true = synthetic_image(cfg.size)
@@ -377,22 +400,11 @@ def bench_cov_modes(cfg: TaskConfig, modes=COV_MODE_KINDS) -> list[RunReport]:
 
     Per-mode failures are recorded in their rows; the sweep always
     returns one row per requested mode, in the requested order.
-    LFLOW_THREADS > 1 runs modes concurrently.
     """
     modes = list(modes)
     if not modes:
         raise ValueError("need at least one covariance mode")
     x_true = resolve_truth(cfg)
     y = degrade(cfg, x_true)
-
-    def run(mode: str) -> RunReport:
-        _, report = reconstruct(replace(cfg, cov_mode=mode), y, x_true=x_true)
-        return report
-
-    workers = min(thread_count(), len(modes))
-    if workers > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, modes))
-    return [run(mode) for mode in modes]
+    return [reconstruct(replace(cfg, cov_mode=mode), y, x_true=x_true)[1]
+            for mode in modes]

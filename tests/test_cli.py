@@ -143,6 +143,22 @@ def test_unknown_config_key_exits_with_a_usage_error(tmp_path, capsys):
     assert "rtoll" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,blamed", [
+    ("[guidance]\nk_steps = 0\n", "[guidance] k_steps"),
+    ("[task]\nkind = box-inpaint\nbox_size = 80\n", "[task]"),
+    ("[guidance]\ncov_mode = bogus\n", "[guidance] cov_mode"),
+], ids=["k_steps", "box_size", "cov_mode"])
+def test_bad_config_values_exit_with_a_usage_error(tmp_path, capsys, text, blamed):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    code = main(["sample", "--config", str(bad), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert blamed in err
+    assert not list(tmp_path.glob("*.pgm"))
+
+
 def test_missing_config_file_exits_with_a_usage_error(tmp_path, capsys):
     code = main(["sample", "--config", str(tmp_path / "nope.cfg")])
     assert code == 2

@@ -8,7 +8,7 @@ detection behind the scalar Gram factor.
 import numpy as np
 import pytest
 
-import lflow.fields
+import lflow.decoders
 from lflow.decoders import (
     DiagonalScaleDecoder,
     IdentityDecoder,
@@ -153,7 +153,7 @@ def test_gram_scalar_detects_isotropic_matrix_decoders():
 
 
 def test_gram_scalar_warns_once_for_anisotropic_decoders(monkeypatch):
-    monkeypatch.setattr(lflow.fields, "_warned_anisotropic", False)
+    monkeypatch.setattr(lflow.decoders, "_warned_anisotropic", False)
     dec = LinearMatrixDecoder(make_rng(7).normal(size=(5, 3)))
     with pytest.warns(UserWarning):
         assert gram_scalar(dec) == 1.0

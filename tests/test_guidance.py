@@ -1,22 +1,27 @@
 """Tests for the likelihood gradient and the corrected velocity.
 
 The linear-Gaussian setting makes everything here exact, so the tests
-lean on explicit dense algebra written out locally: the structured
-closed forms, the conjugate-gradient route, and the fused dense fast
-path must all land on the same vectors to tight tolerances. The
+lean on explicit dense algebra written out locally: the per-operator
+closed forms, the conjugate-gradient route, and the fused velocity
+closure must all land on the same vectors to tight tolerances. The
 correction-pass semantics get their own regression: with the matched
 covariance, pass two rescales each measurement eigenmode by
 sigma_y^2 / (sigma_y^2 + r^2 lambda), a consequence of the identity
 t * g(t) * c(t) = r^2(t).
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
+import lflow.guidance
 from lflow.decoders import DiagonalScaleDecoder, IdentityDecoder
 from lflow.errors import CgConvergenceError
 from lflow.fields import (
+    COV_MODE_KINDS,
     AnalyticGaussianField,
+    CallbackField,
     CovarianceMode,
     eval_field,
     posterior_cov_scalar,
@@ -50,6 +55,20 @@ def dense_inner_vector(op, residual, sigma_y, r2):
     s_mat = sigma_y**2 * np.eye(a.shape[0]) + r2 * (a @ a.T)
     u = np.linalg.solve(s_mat, np.asarray(residual, dtype=np.float64).ravel())
     return (a.T @ u).reshape(op.input_shape)
+
+
+def make_operator(kind, rng, shape=(16, 16)):
+    """One instance per operator kind, with a random mask or matrix."""
+    kernel = build_gaussian_kernel(3, 1.0)
+    if kind == "mask":
+        mask = (rng.uniform(size=shape) < 0.5).astype(np.float64)
+        mask[0, 0] = 1.0
+        return MaskOperator(mask)
+    if kind == "circconv":
+        return CircConvOperator(kernel, shape)
+    if kind == "convdown":
+        return ConvDownsampleOperator(kernel, shape, 2)
+    return DenseOperator(rng.normal(size=(5, 8)))
 
 
 def test_conjugate_gradient_matches_direct_solve():
@@ -106,21 +125,11 @@ def test_inner_vector_closed_form_vs_dense_solve_on_convolution():
     assert np.max(np.abs(closed - reference)) < 1e-8 * scale
 
 
-@pytest.mark.parametrize("kind", ["mask", "circconv", "convdown"])
+@pytest.mark.parametrize("kind", ["mask", "circconv", "convdown", "dense"])
 def test_inner_vector_three_routes_agree(kind):
     rng = make_rng(5)
-    shape = (16, 16)
-    if kind == "mask":
-        mask = (rng.uniform(size=shape) < 0.5).astype(np.float64)
-        mask[0, 0] = 1.0
-        op = MaskOperator(mask)
-        residual = rng.normal(size=op.output_shape)
-    elif kind == "circconv":
-        op = CircConvOperator(build_gaussian_kernel(3, 1.0), shape)
-        residual = rng.normal(size=shape)
-    else:
-        op = ConvDownsampleOperator(build_gaussian_kernel(3, 1.0), shape, 2)
-        residual = rng.normal(size=op.output_shape)
+    op = make_operator(kind, rng)
+    residual = rng.normal(size=op.output_shape)
     for r2 in (0.0, 0.1, 1.0):
         closed = inner_vector(op, residual, 0.1, r2)
         viacg = inner_vector(op, residual, 0.1, r2, solver=ConjugateGradientSolver(tol=1e-13))
@@ -310,20 +319,42 @@ def test_corrected_velocity_rejects_times_at_or_beyond_one():
 
 
 @pytest.mark.parametrize("dec_kind", ["identity", "scale"])
-def test_fused_dense_velocity_matches_the_generic_path(dec_kind):
+def test_fused_dense_velocity_matches_the_generic_path(dec_kind, monkeypatch):
+    # The fused closure of make_velocity against the pass-by-pass
+    # reference, over all four operators, covariance modes, pass counts,
+    # update flavours and field kinds.
+    real_inner_vector = lflow.guidance.inner_vector
+    passes = []
+
+    def counting_inner_vector(*args, **kwargs):
+        passes.append(1)
+        return real_inner_vector(*args, **kwargs)
+
+    monkeypatch.setattr(lflow.guidance, "inner_vector", counting_inner_vector)
     rng = make_rng(15)
-    a = DenseOperator(rng.normal(size=(5, 8)))
-    field = AnalyticGaussianField(sigma_latr=0.8)
-    dec = IdentityDecoder((8,)) if dec_kind == "identity" else DiagonalScaleDecoder(1.4, (8,))
-    y = rng.normal(size=5)
-    spec = GuidanceSpec(cov_mode=CovarianceMode(kind="lflow"), sigma_y=0.1, k_steps=2)
-    fast = make_velocity(spec, field, dec, a, y)
-    z = rng.normal(size=8)
-    # The generic reference solves the dense system by conjugate
-    # gradients at its default tolerance, so agreement is capped there.
-    for t in (0.1, 0.5, 0.9):
-        want = corrected_velocity(spec, field, dec, a, y, z, t)
-        np.testing.assert_allclose(fast(z, t), want, atol=1e-7, rtol=1e-7)
+    fields = (
+        AnalyticGaussianField(sigma_latr=0.8),
+        CallbackField(lambda z, t: np.sin(z) - t * z, surrogate_sigma_latr=0.8),
+    )
+    for op_kind in ("mask", "circconv", "convdown", "dense"):
+        op = make_operator(op_kind, rng, shape=(6, 6))
+        shape = op.input_shape
+        dec = IdentityDecoder(shape) if dec_kind == "identity" else DiagonalScaleDecoder(1.4, shape)
+        y = rng.normal(size=op.output_shape)
+        z = rng.normal(size=shape)
+        for field, kind, k_steps, literal in itertools.product(
+            fields, COV_MODE_KINDS, (1, 2, 3, 5), (False, True)
+        ):
+            spec = GuidanceSpec(cov_mode=CovarianceMode(kind=kind), sigma_y=0.1,
+                                k_steps=k_steps, literal_update=literal)
+            fused = make_velocity(spec, field, dec, op, y)
+            for t in (0.1, 0.5, 0.9):
+                want = corrected_velocity(spec, field, dec, op, y, z, t)
+                passes.clear()
+                got = fused(z, t)
+                assert not passes, "the fused closure fell back to the per-pass route"
+                err = float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
+                assert err < 1e-12, (op_kind, type(field).__name__, kind, k_steps, literal, t, err)
 
 
 def test_fused_path_honors_the_literal_update_flag():
@@ -337,19 +368,6 @@ def test_fused_path_honors_the_literal_update_flag():
     z = rng.normal(size=6)
     want = corrected_velocity(spec, field, dec, a, y, z, 0.7)
     np.testing.assert_allclose(fast(z, 0.7), want, atol=1e-7, rtol=1e-7)
-
-
-def test_make_velocity_generic_fallback_for_structured_operators():
-    op = CircConvOperator(build_gaussian_kernel(3, 1.0), (6, 6))
-    field = AnalyticGaussianField(sigma_latr=0.5)
-    dec = IdentityDecoder((6, 6))
-    y = make_rng(17).normal(size=(6, 6))
-    spec = GuidanceSpec(sigma_y=0.1)
-    velocity = make_velocity(spec, field, dec, op, y)
-    z = make_rng(18).normal(size=(6, 6))
-    np.testing.assert_allclose(
-        velocity(z, 0.4), corrected_velocity(spec, field, dec, op, y, z, 0.4), atol=1e-14
-    )
 
 
 def test_guidance_spec_validation():

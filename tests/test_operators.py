@@ -27,8 +27,6 @@ from lflow.operators import (
     build_motion_kernel,
     dense_materialize,
     embed_kernel,
-    read_grid,
-    write_grid,
 )
 
 
@@ -275,16 +273,3 @@ def test_embed_kernel_anchors_center_at_origin():
     with pytest.raises(ShapeMismatchError):
         embed_kernel(Kernel(np.ones((5, 5))), (3, 3))
 
-
-def test_grid_file_round_trip_is_exact(tmp_path):
-    arr = make_rng(8).normal(size=(5, 3))
-    path = tmp_path / "grid.txt"
-    write_grid(path, arr)
-    np.testing.assert_array_equal(read_grid(path), arr)
-
-
-def test_grid_file_header_mismatch_is_rejected(tmp_path):
-    path = tmp_path / "grid.txt"
-    path.write_text("2 2\n1.0 2.0\n")
-    with pytest.raises(ValueError):
-        read_grid(path)

@@ -210,17 +210,6 @@ def test_mc_moments_of_a_constant_runner():
     np.testing.assert_allclose(se, np.zeros(2), atol=0.0)
 
 
-def test_mc_moments_threaded_equals_serial():
-    def runner(seed):
-        return make_rng(seed).normal(size=4)
-
-    m1, c1, s1 = mc_moments(runner, 32, threads=1)
-    m2, c2, s2 = mc_moments(runner, 32, threads=2)
-    np.testing.assert_array_equal(m1, m2)
-    np.testing.assert_array_equal(c1, c2)
-    np.testing.assert_array_equal(s1, s2)
-
-
 def test_mc_moments_recover_a_known_gaussian():
     target = np.array([0.5, -1.0, 2.0])
 

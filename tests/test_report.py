@@ -1,15 +1,12 @@
-"""Tests for report rows, their two serializations, and thread config."""
+"""Tests for report rows and their two serializations."""
 
 import csv
 import json
 import math
 
-import pytest
-
 from lflow.report import (
     REPORT_COLUMNS,
     RunReport,
-    thread_count,
     write_reports_csv,
     write_reports_json,
 )
@@ -110,16 +107,3 @@ def test_multiple_rows_keep_their_order(tmp_path):
     assert [r["run_id"] for r in rows] == ["r-0", "r-1", "r-2"]
     assert [r["seed"] for r in rows] == ["0", "1", "2"]
 
-
-@pytest.mark.parametrize(
-    "raw,expected",
-    [("4", 4), ("1", 1), ("0", 1), ("-3", 1), ("x", 1)],
-)
-def test_thread_count_parses_defensively(monkeypatch, raw, expected):
-    monkeypatch.setenv("LFLOW_THREADS", raw)
-    assert thread_count() == expected
-
-
-def test_thread_count_defaults_to_serial(monkeypatch):
-    monkeypatch.delenv("LFLOW_THREADS", raising=False)
-    assert thread_count() == 1

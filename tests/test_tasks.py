@@ -223,6 +223,10 @@ def test_solver_failures_become_failed_rows():
     assert math.isnan(report.psnr_db)
     assert math.isnan(report.ssim)
     assert math.isnan(report.mse)
+    # The row keeps the evaluations spent: two accepted adaptive steps
+    # before the budget ran out, one initial evaluation plus two per step.
+    assert report.nfe == 1 + 2 * 2
+    assert report.clamp_events == 0
 
 
 def test_bench_covers_every_mode_in_order():
@@ -235,19 +239,6 @@ def test_bench_covers_every_mode_in_order():
     assert len(subset) == 1 and subset[0].cov_mode == "zero"
     with pytest.raises(ValueError):
         bench_cov_modes(cfg, modes=[])
-
-
-def test_bench_is_thread_count_invariant(monkeypatch):
-    cfg = fast_config(sigma_y=0.05, atol=1e-3, rtol=1e-3)
-    monkeypatch.setenv("LFLOW_THREADS", "1")
-    serial = bench_cov_modes(cfg, modes=["lflow", "zero"])
-    monkeypatch.setenv("LFLOW_THREADS", "2")
-    threaded = bench_cov_modes(cfg, modes=["lflow", "zero"])
-    for a, b in zip(serial, threaded):
-        da, db = asdict(a), asdict(b)
-        da.pop("wall_ms")
-        db.pop("wall_ms")
-        assert da == db
 
 
 def test_task_kind_constant_matches_presets():
