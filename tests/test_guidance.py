@@ -370,6 +370,21 @@ def test_fused_path_honors_the_literal_update_flag():
     np.testing.assert_allclose(fast(z, 0.7), want, atol=1e-7, rtol=1e-7)
 
 
+def test_make_velocity_generic_fallback_for_structured_operators():
+    # Structured operators no longer fall back to the per-pass route; the
+    # fused closure must still reproduce it for a circular convolution.
+    op = CircConvOperator(build_gaussian_kernel(3, 1.0), (6, 6))
+    field = AnalyticGaussianField(sigma_latr=0.5)
+    dec = IdentityDecoder((6, 6))
+    y = make_rng(17).normal(size=(6, 6))
+    spec = GuidanceSpec(sigma_y=0.1)
+    velocity = make_velocity(spec, field, dec, op, y)
+    z = make_rng(18).normal(size=(6, 6))
+    np.testing.assert_allclose(
+        velocity(z, 0.4), corrected_velocity(spec, field, dec, op, y, z, 0.4), atol=1e-14
+    )
+
+
 def test_guidance_spec_validation():
     with pytest.raises(ValueError):
         GuidanceSpec(sigma_y=-0.1)
