@@ -22,7 +22,6 @@ from .errors import (
     ConfigError,
     DimensionGuardError,
     ImageFormatError,
-    ImaginaryResidueError,
     LflowError,
     MaxStepsExceededError,
     NonFiniteError,

@@ -26,15 +26,6 @@ class NonFiniteError(LflowError):
     """A value that must be finite contains NaN or Inf."""
 
 
-class ImaginaryResidueError(LflowError):
-    """Inverse DFT output has an imaginary part too large to discard.
-
-    Signals a non-Hermitian filter bug upstream: every spectrum the package
-    inverts is produced from real inputs through real-symmetric filters, so
-    the imaginary residue should sit at rounding level.
-    """
-
-
 class ZeroScaleError(LflowError):
     """A diagonal decoder entry is too close to zero to invert."""
 

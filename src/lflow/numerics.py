@@ -4,10 +4,18 @@ Conventions, fixed once for the whole package:
 
 * Real fields are 2-D float64 arrays (height, width), row-major. Measurement
   vectors may be 1-D; everything is 64-bit.
-* The DFT is unnormalized forward, 1/N inverse (numpy's default), so
-  Parseval reads ||x||^2 * N = ||x_hat||^2 with N = height * width. All
+* The DFT is unnormalized forward, 1/N inverse (numpy's default). All
   frequency-domain quotients used elsewhere are scale-free, so this choice
   never leaks into results.
+* Spectra of real fields are half-spectra (numpy's rfft2): an (h, w) field
+  maps to (h, w//2 + 1) coefficients, columns 0..w//2 of the full DFT. The
+  other columns follow from Hermitian symmetry,
+  F[k1, k2] = conj(F[(-k1) % h, w - k2]), so the inverse needs the field's
+  shape (an odd width cannot be told from the half-spectrum) and returns a
+  real field by construction. Parseval reads
+  ||x||^2 * N = sum_k c_k2 |x_hat[k1, k2]|^2 with N = h * w, where the
+  column weight c is 1 for the DC column and, at even w, for the Nyquist
+  column w/2, and 2 for every other column (it stands for its mirror).
 * Randomness comes from numpy's PCG64 via `make_rng`; identical seeds give
   identical streams on every platform.
 """
@@ -16,13 +24,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ImaginaryResidueError, NonFiniteError, ShapeMismatchError
+from .errors import NonFiniteError, ShapeMismatchError
 
 RealField = np.ndarray
 ComplexSpectrum = np.ndarray
 SeededRng = np.random.Generator
-
-IMAG_RESIDUE_TOL = 1e-9
 
 
 def as_field(x, shape: tuple | None = None) -> RealField:
@@ -40,7 +46,7 @@ def require_finite(name: str, arr: np.ndarray) -> np.ndarray:
 
 
 def dft2_forward(field: RealField) -> ComplexSpectrum:
-    """Unnormalized 2-D DFT of a real field.
+    """Unnormalized 2-D half-spectrum of a real field: (h, w) -> (h, w//2 + 1).
 
     Rejects non-finite input: a NaN anywhere poisons the whole spectrum and
     every closed-form guidance solve downstream.
@@ -49,31 +55,26 @@ def dft2_forward(field: RealField) -> ComplexSpectrum:
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ShapeMismatchError(f"expected a 2-D field, got shape {arr.shape}")
     require_finite("dft2_forward input", arr)
-    return np.fft.fft2(arr)
+    return np.fft.rfft2(arr)
 
 
-def dft2_inverse(spectrum: ComplexSpectrum) -> RealField:
-    """Inverse 2-D DFT (1/N normalization), returning the real part.
+def dft2_inverse(spectrum: ComplexSpectrum, shape: tuple[int, int]) -> RealField:
+    """Real (h, w) field of an (h, w//2 + 1) half-spectrum (1/N normalization).
 
-    The imaginary residue must be negligible: it is discarded below
-    IMAG_RESIDUE_TOL (scaled by the field's magnitude so large-amplitude
-    fields are not penalized for ordinary rounding), and anything larger
-    raises ImaginaryResidueError.
+    The shape is required because an odd width cannot be told from the
+    half-spectrum. A DC column (or, at even w, a Nyquist column) that is
+    not Hermitian along axis 0 has no real field to come from; irfft2
+    drops its anti-Hermitian part, so the output is always real.
     """
     spec = np.asarray(spectrum, dtype=np.complex128)
-    if spec.ndim != 2:
-        raise ShapeMismatchError(f"expected a 2-D spectrum, got shape {spec.shape}")
-    require_finite("dft2_inverse input", spec.view(np.float64))
-    out = np.fft.ifft2(spec)
-    real = np.ascontiguousarray(out.real)
-    scale = max(1.0, float(np.max(np.abs(real))) if real.size else 1.0)
-    worst = float(np.max(np.abs(out.imag))) if out.size else 0.0
-    if worst > IMAG_RESIDUE_TOL * scale:
-        raise ImaginaryResidueError(
-            f"imaginary residue {worst:.3e} exceeds {IMAG_RESIDUE_TOL:.0e} "
-            f"(scaled by {scale:.3g}); the filter chain is not Hermitian"
+    h, w = (int(n) for n in shape)
+    if spec.shape != (h, w // 2 + 1):
+        raise ShapeMismatchError(
+            f"expected a half-spectrum of shape {(h, w // 2 + 1)} for field "
+            f"{(h, w)}, got {spec.shape}"
         )
-    return real
+    require_finite("dft2_inverse input", spec.view(np.float64))
+    return np.fft.irfft2(spec, s=(h, w))
 
 
 def make_rng(seed: int) -> SeededRng:

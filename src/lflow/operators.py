@@ -5,7 +5,7 @@ Four kinds cover the tasks the package solves plus brute-force testing:
 * `MaskOperator`: entry selection (compact output) for inpainting; the
   adjoint zero-fills back onto the grid.
 * `CircConvOperator`: circular (periodic) convolution, diagonal in the
-  2-D DFT basis, for deblurring.
+  real 2-D DFT basis, for deblurring.
 * `ConvDownsampleOperator`: circular convolution followed by s-fold
   subsampling of both axes, for super-resolution.
 * `DenseOperator`: an explicit matrix, the anything-goes case used by the
@@ -15,6 +15,15 @@ Each operator also owns a basis in which A A^T is diagonal, so that
 apply_coeffs(adjoint_coeffs(w)) = gram_eigenvalues * w: `coeffs(y)` expands
 a measurement in it, `apply_coeffs(x)` gives the coefficients of A x, and
 `adjoint_coeffs(w)` applies A^T to the measurement with coefficients w.
+The two convolution operators use the real DFT (see `lflow.numerics`):
+their coefficients and `gram_eigenvalues` are half-spectra of the
+measurement grid, (h, w//2 + 1) for an (h, w) grid; the other half follows
+by Hermitian symmetry.
+
+`lift(y)` maps a measurement back onto the input grid to seed a sampler
+run: masks zero-fill, shape-preserving operators pass y through,
+downsamplers upsample through the adjoint scaled by s^2 so flat signals
+keep their level, and other dense operators use the plain adjoint.
 
 Boundary handling is periodic everywhere; that is what makes the Fourier
 bases exact rather than approximate. Kernels are odd-sized grids anchored
@@ -128,11 +137,15 @@ class MaskOperator:
     def adjoint_coeffs(self, w) -> np.ndarray:
         return self.adjoint(w)
 
+    def lift(self, y) -> np.ndarray:
+        return self.adjoint(y)
+
 
 class CircConvOperator:
     """Circular convolution with a fixed kernel on a fixed grid shape.
 
-    Its basis is the 2-D DFT, where A A^T multiplies by |k_hat|^2.
+    Its basis is the real 2-D DFT: coefficients are (h, w//2 + 1)
+    half-spectra, on which A A^T multiplies by |k_hat|^2.
     """
 
     kind = "circconv"
@@ -152,13 +165,16 @@ class CircConvOperator:
         return self.khat * dft2_forward(x)
 
     def adjoint_coeffs(self, w) -> np.ndarray:
-        return dft2_inverse(np.conj(self.khat) * w)
+        return dft2_inverse(np.conj(self.khat) * w, self.input_shape)
 
     def apply(self, x) -> np.ndarray:
-        return dft2_inverse(self.apply_coeffs(x))
+        return dft2_inverse(self.apply_coeffs(x), self.output_shape)
 
     def adjoint(self, y) -> np.ndarray:
         return self.adjoint_coeffs(self.coeffs(y))
+
+    def lift(self, y) -> np.ndarray:
+        return as_field(y)
 
 
 class ConvDownsampleOperator:
@@ -166,9 +182,16 @@ class ConvDownsampleOperator:
 
     The subsample keeps indices 0, s, 2s, ... so the adjoint is zero-fill
     upsampling followed by correlation with the kernel. Its basis is the
-    low-resolution DFT: subsampling folds a spectrum onto its s x s aliased
-    blocks (`block_average`) and zero-fill upsampling tiles it, so A A^T
-    multiplies by the block-folded |k_hat|^2.
+    real DFT of the (m1, m2) = (h/s, w/s) low-resolution grid, with
+    (m1, m2//2 + 1) half-spectrum coefficients. Subsampling folds a full
+    spectrum onto its s x s aliased blocks (`block_average`) and zero-fill
+    upsampling tiles it, so A A^T multiplies by the block-folded |k_hat|^2.
+
+    Both need columns that a half-spectrum does not store: the fold reads
+    high-resolution columns j2 + b2 m2 up to (s - 1) m2 + m2//2, and the
+    tile reads low-resolution columns k2 mod m2 past m2//2. They are read
+    through the Hermitian mirror F[k1, k2] = conj(F[(-k1) % h, w - k2]),
+    with gather indices built once in `__init__`.
     """
 
     kind = "convdown"
@@ -185,28 +208,56 @@ class ConvDownsampleOperator:
         self.kernel = kernel
         self.factor = factor
         self.input_shape = (h, w)
-        self.output_shape = (h // factor, w // factor)
+        m1, m2 = h // factor, w // factor
+        self.output_shape = (m1, m2)
+        # Fold: column b2 (m2//2 + 1) + j2 of the gathered array is
+        # high-resolution column j2 + b2 m2. These increase, so the ones
+        # past w//2, read through the mirror, are the last ones.
+        n2 = m2 // 2 + 1
+        cols = (np.arange(n2) + m2 * np.arange(factor)[:, None]).ravel()
+        self._fold_direct = cols[cols <= w // 2]
+        self._fold_mirror = w - cols[cols > w // 2]
+        self._fold_rows = (-np.arange(h)) % h
+        # Tile: low-resolution columns n2..m2 - 1 come from the mirror;
+        # high-resolution column k2 is low-resolution column k2 mod m2.
+        self._tile_mirror = m2 - np.arange(n2, m2)
+        self._tile_rows = (-np.arange(m1)) % m1
+        self._tile_cols = np.arange(w // 2 + 1) % m2
         self.khat = dft2_forward(embed_kernel(kernel, self.input_shape))
-        self.gram_eigenvalues = block_average(np.abs(self.khat) ** 2, factor)
+        self.gram_eigenvalues = self._fold(np.abs(self.khat) ** 2)
+
+    def _fold(self, half: np.ndarray) -> np.ndarray:
+        """(h, w//2 + 1) half-spectrum -> its (m1, m2//2 + 1) block fold."""
+        mirrored = np.conj(half[self._fold_rows[:, None], self._fold_mirror])
+        gathered = np.concatenate((half[:, self._fold_direct], mirrored), axis=1)
+        return block_average(gathered, self.factor)
+
+    def _tile(self, low: np.ndarray) -> np.ndarray:
+        """(m1, m2//2 + 1) half-spectrum -> its (h, w//2 + 1) s x s tiling."""
+        mirrored = np.conj(low[self._tile_rows[:, None], self._tile_mirror])
+        full = np.concatenate((low, mirrored), axis=1)
+        return np.tile(full[:, self._tile_cols], (self.factor, 1))
 
     def coeffs(self, y) -> np.ndarray:
         return dft2_forward(_check_shape("convdown coeffs", y, self.output_shape))
 
     def apply_coeffs(self, x) -> np.ndarray:
         x = _check_shape("convdown apply", x, self.input_shape)
-        return block_average(self.khat * dft2_forward(x), self.factor)
+        return self._fold(self.khat * dft2_forward(x))
 
     def adjoint_coeffs(self, w) -> np.ndarray:
-        tiled = np.tile(w, (self.factor, self.factor))
-        return dft2_inverse(np.conj(self.khat) * tiled)
+        return dft2_inverse(np.conj(self.khat) * self._tile(w), self.input_shape)
 
     def apply(self, x) -> np.ndarray:
         x = _check_shape("convdown apply", x, self.input_shape)
-        blurred = dft2_inverse(self.khat * dft2_forward(x))
+        blurred = dft2_inverse(self.khat * dft2_forward(x), self.input_shape)
         return blurred[:: self.factor, :: self.factor].copy()
 
     def adjoint(self, y) -> np.ndarray:
         return self.adjoint_coeffs(self.coeffs(y))
+
+    def lift(self, y) -> np.ndarray:
+        return float(self.factor**2) * self.adjoint(y)
 
 
 class DenseOperator:
@@ -258,6 +309,11 @@ class DenseOperator:
 
     def adjoint_coeffs(self, w) -> np.ndarray:
         return (self._basis[3] @ w).reshape(self.input_shape)
+
+    def lift(self, y) -> np.ndarray:
+        if self.output_shape == self.input_shape:
+            return as_field(y)
+        return self.adjoint(y)
 
 
 LinearOperatorDescriptor = (

@@ -39,7 +39,7 @@ from .errors import (
 from .fields import VectorFieldSpec, posterior_mean
 from .guidance import GuidanceSpec, make_velocity
 from .numerics import RealField, SeededRng, as_field, gaussian_vector, make_rng
-from .operators import ConvDownsampleOperator, LinearOperatorDescriptor, MaskOperator
+from .operators import LinearOperatorDescriptor
 from .schedule import PathSchedule
 
 INIT_MODES = ("encoded-measurement", "pure-noise")
@@ -157,23 +157,12 @@ def init_state(config: SamplerConfig, dec: DecoderSpec, op: LinearOperatorDescri
     """Draw the start state z at t_s.
 
     pure-noise: a standard Gaussian, period. encoded-measurement: lift y
-    back to the field grid (masks zero-fill, convolutions pass through,
-    downsamplers upsample through the adjoint scaled by s^2 so flat
-    signals keep their level, dense operators use the plain adjoint),
-    encode it, and place it at t_s on the line toward a fresh noise draw.
+    back to the field grid with the operator's `lift`, encode it, and
+    place it at t_s on the line toward a fresh noise draw.
     """
-    y = as_field(y)
     if config.init_mode == "pure-noise":
         return gaussian_vector(rng, dec.latent_shape)
-    if isinstance(op, MaskOperator):
-        lifted = op.adjoint(y)
-    elif isinstance(op, ConvDownsampleOperator):
-        lifted = float(op.factor**2) * op.adjoint(y)
-    elif op.output_shape == op.input_shape:
-        lifted = y
-    else:
-        lifted = op.adjoint(y)
-    encoded = encode(dec, lifted)
+    encoded = encode(dec, op.lift(as_field(y)))
     z1 = gaussian_vector(rng, dec.latent_shape)
     return config.schedule.interpolate(encoded, z1, config.t_s)
 

@@ -149,6 +149,23 @@ class TaskConfig:
                 raise ValueError(f"{_CONFIG_KEY[attr]}: {value!r} not one of {allowed}")
         if self.size < 1:
             raise ValueError(f"{_CONFIG_KEY['size']}: must be >= 1, got {self.size}")
+        size = f"{_CONFIG_KEY['size']} ({self.size})"
+        if self.kind == "box-inpaint" and not 0 <= self.box_size <= self.size:
+            raise ValueError(f"{_CONFIG_KEY['box_size']}: must be between 0 and {size}, "
+                             f"got {self.box_size}")
+        if self.kind in ("gaussian-deblur", "motion-deblur") and self.kernel_size > self.size:
+            raise ValueError(f"{_CONFIG_KEY['kernel_size']}: must be <= {size}, "
+                             f"got {self.kernel_size}")
+        if self.kind == "motion-deblur" and not 1 <= self.kernel_length <= self.kernel_size:
+            raise ValueError(f"{_CONFIG_KEY['kernel_length']}: must be between 1 and "
+                             f"{_CONFIG_KEY['kernel_size']} ({self.kernel_size}), "
+                             f"got {self.kernel_length}")
+        # The bicubic kernel of factor s has 4 s - 1 taps a side.
+        if self.kind == "super-resolution" and (
+                self.sr_factor < 1 or self.size % self.sr_factor
+                or 4 * self.sr_factor - 1 > self.size):
+            raise ValueError(f"{_CONFIG_KEY['sr_factor']}: must be >= 1, divide {size} "
+                             f"and keep its 4 s - 1 kernel within it, got {self.sr_factor}")
 
     def to_sections(self) -> dict[str, dict]:
         out: dict[str, dict] = {}

@@ -147,7 +147,14 @@ def test_unknown_config_key_exits_with_a_usage_error(tmp_path, capsys):
     ("[guidance]\nk_steps = 0\n", "[guidance] k_steps"),
     ("[task]\nkind = box-inpaint\nbox_size = 80\n", "[task]"),
     ("[guidance]\ncov_mode = bogus\n", "[guidance] cov_mode"),
-], ids=["k_steps", "box_size", "cov_mode"])
+    ("[task]\nkind = box-inpaint\nsize = 16\nbox_size = 17\n", "[task] box_size"),
+    ("[task]\nkind = gaussian-deblur\nsize = 8\nkernel_size = 9\n", "[task] kernel_size"),
+    ("[task]\nkind = motion-deblur\nsize = 8\nkernel_size = 9\n", "[task] kernel_size"),
+    ("[task]\nkind = super-resolution\nsize = 63\nsr_factor = 2\n", "[task] sr_factor"),
+    ("[task]\nkind = super-resolution\nsize = 4\nsr_factor = 2\n", "[task] sr_factor"),
+    ("[task]\nkind = motion-deblur\nkernel_length = 12\n", "[task] kernel_length"),
+], ids=["k_steps", "box_size", "cov_mode", "box_size_key", "gaussian_kernel_size",
+        "motion_kernel_size", "sr_factor", "sr_kernel_too_big", "kernel_length"])
 def test_bad_config_values_exit_with_a_usage_error(tmp_path, capsys, text, blamed):
     bad = tmp_path / "bad.cfg"
     bad.write_text(text)

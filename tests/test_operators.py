@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from lflow.errors import DimensionGuardError, ShapeMismatchError
-from lflow.numerics import make_rng
+from lflow.numerics import dft2_inverse, make_rng
 from lflow.operators import (
     DENSE_MATERIALIZE_LIMIT,
     CircConvOperator,
@@ -88,6 +88,55 @@ def test_dense_materialization_agrees_with_apply_and_adjoint(idx):
         np.asarray(op.adjoint(y)).ravel(),
         atol=1e-10,
     )
+
+
+def basis_operators():
+    """Every operator kind at even and odd shapes.
+
+    The conv-downsamplers include odd low-resolution widths (21 at
+    (42, 42)/2, 15 at (45, 45)/3, 11 at (21, 33)/3) and factor 1.
+    """
+    rng = make_rng(7)
+    kernel = build_gaussian_kernel(5, 1.2)
+    motion = build_motion_kernel(5, 0.4, 4)
+    mask = (rng.uniform(size=(9, 7)) < 0.5).astype(np.float64)
+    return [
+        MaskOperator(mask),
+        CircConvOperator(kernel, (16, 16)),
+        CircConvOperator(motion, (9, 7)),
+        ConvDownsampleOperator(build_bicubic_kernel(2), (64, 64), 2),
+        ConvDownsampleOperator(build_bicubic_kernel(2), (42, 42), 2),
+        ConvDownsampleOperator(build_bicubic_kernel(3), (45, 45), 3),
+        ConvDownsampleOperator(kernel, (21, 33), 3),
+        ConvDownsampleOperator(kernel, (25, 25), 5),
+        ConvDownsampleOperator(kernel, (64, 64), 4),
+        ConvDownsampleOperator(motion, (10, 12), 1),
+        DenseOperator(rng.normal(size=(6, 20)), input_shape=(4, 5)),
+        DenseOperator(rng.normal(size=(12, 12))),
+    ]
+
+
+def assert_rel_close(actual, expected, rtol=1e-12):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    scale = float(np.max(np.abs(expected)))
+    assert float(np.max(np.abs(actual - expected))) <= rtol * scale
+
+
+@pytest.mark.parametrize("op", basis_operators(), ids=lambda op: f"{op.kind}{op.input_shape}")
+def test_basis_members_diagonalize_the_gram_operator(op):
+    rng = make_rng(300)
+    x = rng.normal(size=op.input_shape)
+    y = rng.normal(size=op.output_shape)
+    c = op.coeffs(y)
+    lam = op.gram_eigenvalues
+    assert np.broadcast_shapes(np.shape(lam), np.shape(c)) == np.shape(c)
+    assert_rel_close(op.apply_coeffs(op.adjoint_coeffs(c)), lam * c)
+    assert_rel_close(op.adjoint_coeffs(c), op.adjoint(y))
+    assert_rel_close(op.apply_coeffs(x), op.coeffs(op.apply(x)))
+    if op.kind in ("circconv", "convdown"):
+        assert np.shape(c) == (op.output_shape[0], op.output_shape[1] // 2 + 1)
+        assert_rel_close(dft2_inverse(op.apply_coeffs(x), op.output_shape), op.apply(x))
 
 
 def test_convolution_with_delta_kernel_is_identity():

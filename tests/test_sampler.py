@@ -131,6 +131,34 @@ def test_init_passthrough_for_shape_preserving_operators():
     np.testing.assert_allclose(z, 0.5 * encode(dec, y), atol=1e-12)
 
 
+def test_init_state_lifts_each_operator_kind_by_its_formula():
+    # Start states are pinned bit for bit: mask -> adjoint, conv-downsample
+    # -> s^2 adjoint, shape-preserving -> y, any other dense -> adjoint.
+    rng = make_rng(11)
+    mask = np.ones((6, 6))
+    mask[2:4, 1:5] = 0.0
+    masked = MaskOperator(mask)
+    down = ConvDownsampleOperator(build_bicubic_kernel(3), (12, 12), 3)
+    conv = CircConvOperator(build_gaussian_kernel(3, 1.0), (6, 6))
+    square = DenseOperator(rng.normal(size=(8, 8)))
+    rect = DenseOperator(rng.normal(size=(5, 8)))
+    cases = [
+        (masked, masked.adjoint),
+        (down, lambda y: 9.0 * down.adjoint(y)),
+        (conv, lambda y: y),
+        (square, lambda y: y),
+        (rect, rect.adjoint),
+    ]
+    config = SamplerConfig(t_s=0.7)
+    for seed, (op, formula) in enumerate(cases):
+        dec = IdentityDecoder(op.input_shape)
+        y = rng.normal(size=op.output_shape)
+        z = init_state(config, dec, op, y, make_rng(seed))
+        z1 = gaussian_vector(make_rng(seed), op.input_shape)
+        expected = config.schedule.interpolate(encode(dec, formula(y)), z1, 0.7)
+        np.testing.assert_array_equal(z, expected)
+
+
 def test_sampler_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(t_s=1e-3)
