@@ -35,18 +35,19 @@ class DimensionGuardError(LflowError):
 
 
 class CgConvergenceError(LflowError):
-    """Conjugate gradient failed to reach tolerance within max_iter.
+    """Conjugate gradient broke down or missed tolerance within max_iter.
 
     Usually means the system matrix is not symmetric positive definite,
     which the guidance solve guarantees only when sigma_y > 0.
     """
 
-    def __init__(self, iterations: int, residual_norm: float):
+    def __init__(self, iterations: int, residual_norm: float,
+                 reason: str = "no convergence"):
         self.iterations = iterations
         self.residual_norm = residual_norm
         super().__init__(
-            f"no convergence after {iterations} iterations "
-            f"(relative residual {residual_norm:.3e})"
+            f"{reason} after {iterations} iterations "
+            f"(residual norm {residual_norm:.3e})"
         )
 
 

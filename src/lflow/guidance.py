@@ -15,7 +15,11 @@ factor. `inner_vector` evaluates A^T S^{-1} residual, the only part that
 touches the operator structure. Every operator diagonalizes A A^T in its
 own basis (see `lflow.operators`), so the closed form divides the
 residual's basis coefficients by sigma_y^2 + r2 lambda, mode by mode; the
-conjugate-gradient solver is the iterative reference.
+conjugate-gradient solver is the iterative reference. It solves S u =
+residual on the measurement grid with the matvec sigma_y^2 u + r2
+op.gram(u), where `gram` is the operator's own A A^T product (one
+transform pair for the convolution operators), and applies A^T once to
+the solution.
 
 In the linear-Gaussian setting (analytic field, identity or scaling
 decoder) nothing here is approximate: the gradient equals the gradient
@@ -97,8 +101,11 @@ def conjugate_gradient(matvec, rhs: np.ndarray, tol: float = CG_TOL_DEFAULT,
     """Solve M x = rhs for symmetric positive definite M.
 
     Zero initial guess; stops when the residual norm falls below
-    tol * ||rhs||. Raises CgConvergenceError when max_iter steps were
-    not enough, which in this package usually means S lost definiteness.
+    tol * ||rhs||. The iterates are updated in place; rhs is not
+    modified. Raises CgConvergenceError when a search direction p has
+    p^T M p not finite and positive (M is not positive definite, e.g. a
+    singular S) or when max_iter steps were not enough, which in this
+    package usually means S lost definiteness.
     """
     rhs = as_field(rhs)
     rhs_norm = float(np.sqrt(np.vdot(rhs, rhs).real))
@@ -110,13 +117,18 @@ def conjugate_gradient(matvec, rhs: np.ndarray, tol: float = CG_TOL_DEFAULT,
     rs = float(np.vdot(r, r).real)
     for k in range(max_iter):
         mp = matvec(p)
-        alpha = rs / float(np.vdot(p, mp).real)
-        x = x + alpha * p
-        r = r - alpha * mp
+        curvature = float(np.vdot(p, mp).real)
+        if not (np.isfinite(curvature) and curvature > 0.0):
+            raise CgConvergenceError(iterations=k, residual_norm=float(np.sqrt(rs)),
+                                     reason=f"breakdown (p^T M p = {curvature:.3e})")
+        alpha = rs / curvature
+        x += alpha * p
+        r -= alpha * mp
         rs_next = float(np.vdot(r, r).real)
         if np.sqrt(rs_next) <= tol * rhs_norm:
             return x
-        p = r + (rs_next / rs) * p
+        p *= rs_next / rs
+        p += r
         rs = rs_next
     raise CgConvergenceError(iterations=max_iter, residual_norm=float(np.sqrt(rs)))
 
@@ -124,9 +136,10 @@ def conjugate_gradient(matvec, rhs: np.ndarray, tol: float = CG_TOL_DEFAULT,
 def _inner_vector_cg(op, residual, sigma_y: float, r2: float,
                      tol: float, max_iter: int) -> RealField:
     sy2 = sigma_y * sigma_y
+    gram = op.gram
 
     def matvec(u):
-        return sy2 * u + r2 * op.apply(op.adjoint(u))
+        return sy2 * u + r2 * gram(u)
 
     u = conjugate_gradient(matvec, residual, tol=tol, max_iter=max_iter)
     return op.adjoint(u)

@@ -15,6 +15,10 @@ Each operator also owns a basis in which A A^T is diagonal, so that
 apply_coeffs(adjoint_coeffs(w)) = gram_eigenvalues * w: `coeffs(y)` expands
 a measurement in it, `apply_coeffs(x)` gives the coefficients of A x, and
 `adjoint_coeffs(w)` applies A^T to the measurement with coefficients w.
+`gram(u)` returns A A^T u on the measurement grid without leaving it:
+the convolution operators multiply u's coefficients by `gram_eigenvalues`
+(one forward and one inverse transform on the measurement grid), the mask
+copies u, and a dense operator applies A^T then A.
 The two convolution operators use the real DFT (see `lflow.numerics`):
 their coefficients and `gram_eigenvalues` are half-spectra of the
 measurement grid, (h, w//2 + 1) for an (h, w) grid; the other half follows
@@ -137,6 +141,9 @@ class MaskOperator:
     def adjoint_coeffs(self, w) -> np.ndarray:
         return self.adjoint(w)
 
+    def gram(self, u) -> np.ndarray:
+        return _check_shape("mask gram", u, self.output_shape).copy()
+
     def lift(self, y) -> np.ndarray:
         return self.adjoint(y)
 
@@ -173,6 +180,9 @@ class CircConvOperator:
     def adjoint(self, y) -> np.ndarray:
         return self.adjoint_coeffs(self.coeffs(y))
 
+    def gram(self, u) -> np.ndarray:
+        return dft2_inverse(self.gram_eigenvalues * self.coeffs(u), self.output_shape)
+
     def lift(self, y) -> np.ndarray:
         return as_field(y)
 
@@ -185,7 +195,8 @@ class ConvDownsampleOperator:
     real DFT of the (m1, m2) = (h/s, w/s) low-resolution grid, with
     (m1, m2//2 + 1) half-spectrum coefficients. Subsampling folds a full
     spectrum onto its s x s aliased blocks (`block_average`) and zero-fill
-    upsampling tiles it, so A A^T multiplies by the block-folded |k_hat|^2.
+    upsampling tiles it, so A A^T multiplies by the block-folded |k_hat|^2;
+    `gram` applies that with one transform pair on the low-resolution grid.
 
     Both need columns that a half-spectrum does not store: the fold reads
     high-resolution columns j2 + b2 m2 up to (s - 1) m2 + m2//2, and the
@@ -256,6 +267,9 @@ class ConvDownsampleOperator:
     def adjoint(self, y) -> np.ndarray:
         return self.adjoint_coeffs(self.coeffs(y))
 
+    def gram(self, u) -> np.ndarray:
+        return dft2_inverse(self.gram_eigenvalues * self.coeffs(u), self.output_shape)
+
     def lift(self, y) -> np.ndarray:
         return float(self.factor**2) * self.adjoint(y)
 
@@ -309,6 +323,9 @@ class DenseOperator:
 
     def adjoint_coeffs(self, w) -> np.ndarray:
         return (self._basis[3] @ w).reshape(self.input_shape)
+
+    def gram(self, u) -> np.ndarray:
+        return self.apply(self.adjoint(u))
 
     def lift(self, y) -> np.ndarray:
         if self.output_shape == self.input_shape:

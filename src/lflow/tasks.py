@@ -149,6 +149,10 @@ class TaskConfig:
                 raise ValueError(f"{_CONFIG_KEY[attr]}: {value!r} not one of {allowed}")
         if self.size < 1:
             raise ValueError(f"{_CONFIG_KEY['size']}: must be >= 1, got {self.size}")
+        if self.sigma_y == 0.0 and self.cov_mode == "zero":
+            raise ConfigError(f"{_CONFIG_KEY['sigma_y']} = 0 with {_CONFIG_KEY['cov_mode']} "
+                              f"= zero makes the measurement system S = sigma_y^2 I "
+                              f"+ r2 A A^T singular (r2 = 0 in zero mode)")
         size = f"{_CONFIG_KEY['size']} ({self.size})"
         if self.kind == "box-inpaint" and not 0 <= self.box_size <= self.size:
             raise ValueError(f"{_CONFIG_KEY['box_size']}: must be between 0 and {size}, "
@@ -326,7 +330,12 @@ def resolve_truth(cfg: TaskConfig) -> np.ndarray:
         return synthetic_image(cfg.size)
     from .imageio import read_image
 
-    return read_image(cfg.image)
+    image = read_image(cfg.image)
+    if image.shape != cfg.image_shape():
+        raise ConfigError(f"{_CONFIG_KEY['image']}: {cfg.image!r} is "
+                          f"{image.shape[0]}x{image.shape[1]}, but {_CONFIG_KEY['size']} "
+                          f"= {cfg.size} needs {cfg.size}x{cfg.size}")
+    return image
 
 
 def degrade(cfg: TaskConfig, x_true=None, rng=None) -> np.ndarray:
@@ -416,12 +425,13 @@ def bench_cov_modes(cfg: TaskConfig, modes=COV_MODE_KINDS) -> list[RunReport]:
     """One reconstruction per covariance mode on identical y and seed.
 
     Per-mode failures are recorded in their rows; the sweep always
-    returns one row per requested mode, in the requested order.
+    returns one row per requested mode, in the requested order. A mode
+    the config rejects (zero with sigma_y = 0) raises ConfigError before
+    any run starts.
     """
-    modes = list(modes)
-    if not modes:
+    configs = [replace(cfg, cov_mode=mode) for mode in modes]
+    if not configs:
         raise ValueError("need at least one covariance mode")
     x_true = resolve_truth(cfg)
     y = degrade(cfg, x_true)
-    return [reconstruct(replace(cfg, cov_mode=mode), y, x_true=x_true)[1]
-            for mode in modes]
+    return [reconstruct(mode_cfg, y, x_true=x_true)[1] for mode_cfg in configs]

@@ -3,6 +3,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from lflow.cli import main
@@ -153,8 +154,11 @@ def test_unknown_config_key_exits_with_a_usage_error(tmp_path, capsys):
     ("[task]\nkind = super-resolution\nsize = 63\nsr_factor = 2\n", "[task] sr_factor"),
     ("[task]\nkind = super-resolution\nsize = 4\nsr_factor = 2\n", "[task] sr_factor"),
     ("[task]\nkind = motion-deblur\nkernel_length = 12\n", "[task] kernel_length"),
+    ("[task]\nsize = 16\nsigma_y = 0\n[guidance]\ncov_mode = zero\nsolver = cg\n",
+     "[task] sigma_y = 0 with [guidance] cov_mode = zero"),
 ], ids=["k_steps", "box_size", "cov_mode", "box_size_key", "gaussian_kernel_size",
-        "motion_kernel_size", "sr_factor", "sr_kernel_too_big", "kernel_length"])
+        "motion_kernel_size", "sr_factor", "sr_kernel_too_big", "kernel_length",
+        "singular_system"])
 def test_bad_config_values_exit_with_a_usage_error(tmp_path, capsys, text, blamed):
     bad = tmp_path / "bad.cfg"
     bad.write_text(text)
@@ -163,6 +167,31 @@ def test_bad_config_values_exit_with_a_usage_error(tmp_path, capsys, text, blame
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert blamed in err
+    assert not list(tmp_path.glob("*.pgm"))
+
+
+def test_image_of_another_size_exits_with_a_usage_error(tmp_path, capsys):
+    from lflow.imageio import write_pgm
+
+    image = tmp_path / "small.pgm"
+    write_pgm(image, np.full((8, 8), 0.5))
+    cfg = tmp_path / "image.cfg"
+    cfg.write_text(FAST_CONFIG.replace("size = 16\n", f"size = 16\nimage = {image}\n"))
+    code = main(["sample", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "[task] image" in err and "[task] size" in err
+    assert not list(tmp_path.glob("*-recon.pgm"))
+
+
+def test_cov_mode_flag_cannot_make_the_system_singular(tmp_path, capsys):
+    cfg = tmp_path / "noiseless.cfg"
+    cfg.write_text(FAST_CONFIG.replace("sigma_y = 0.05", "sigma_y = 0"))
+    code = main(["sample", "--config", str(cfg), "--cov-mode", "zero",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "[guidance] cov_mode" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.pgm"))
 
 

@@ -47,6 +47,7 @@ from lflow.operators import (
     build_gaussian_kernel,
     dense_materialize,
 )
+from lflow.sampler import AdaptiveHeunSolver, SamplerConfig, sample_posterior
 
 
 def dense_inner_vector(op, residual, sigma_y, r2):
@@ -100,6 +101,64 @@ def test_conjugate_gradient_reports_non_convergence():
         conjugate_gradient(lambda v: spd @ v, rng.normal(size=20), tol=1e-14, max_iter=2)
     assert info.value.iterations == 2
     assert info.value.residual_norm > 0
+
+
+def test_conjugate_gradient_leaves_rhs_unmodified():
+    rng = make_rng(11)
+    m = rng.normal(size=(9, 9))
+    spd = m @ m.T + 9.0 * np.eye(9)
+    rhs = rng.normal(size=(3, 3))
+    before = rhs.copy()
+    got = conjugate_gradient(lambda v: (spd @ v.ravel()).reshape(v.shape), rhs, tol=1e-14)
+    np.testing.assert_array_equal(rhs, before)
+    assert not np.shares_memory(got, rhs)
+
+
+@pytest.mark.parametrize("matvec", [
+    lambda v: np.zeros_like(v),
+    lambda v: -v,
+    lambda v: np.full_like(v, np.nan),
+], ids=["singular", "negative_definite", "nan"])
+def test_conjugate_gradient_breakdown_is_a_cg_error(matvec):
+    with pytest.raises(CgConvergenceError, match="breakdown") as info:
+        conjugate_gradient(matvec, np.ones(4))
+    assert info.value.iterations == 0
+
+
+@pytest.mark.parametrize("kind", ["mask", "circconv", "convdown"])
+def test_cg_solve_stays_on_the_measurement_grid(kind, monkeypatch):
+    # Every CG matvec goes through op.gram; the operator's apply and
+    # adjoint run once, for the final A^T u, never inside the loop.
+    op = make_operator(kind, make_rng(12))
+    residual = make_rng(13).normal(size=op.output_shape)
+    expected = inner_vector(op, residual, 0.1, 0.5)
+    calls = {"apply": 0, "adjoint": 0, "gram": 0}
+    cls = type(op)
+    for name in calls:
+        def counted(self, arg, _name=name, _original=getattr(cls, name)):
+            calls[_name] += 1
+            return _original(self, arg)
+        monkeypatch.setattr(cls, name, counted)
+    got = inner_vector(op, residual, 0.1, 0.5, solver=ConjugateGradientSolver(tol=1e-13))
+    assert calls["apply"] == 0
+    assert calls["adjoint"] == 1
+    assert calls["gram"] >= 1
+    assert np.max(np.abs(got - expected)) < 1e-10 * float(np.max(np.abs(expected)))
+
+
+def test_singular_cg_guidance_fails_with_a_cg_error():
+    # sigma_y = 0 in zero mode makes S = 0: the first CG step breaks down,
+    # and the error carries the partial trajectory like any solver failure.
+    op = CircConvOperator(build_gaussian_kernel(3, 1.0), (8, 8))
+    guidance = GuidanceSpec(cov_mode=CovarianceMode(kind="zero"), sigma_y=0.0,
+                            solver=ConjugateGradientSolver())
+    config = SamplerConfig(t_s=0.8, solver=AdaptiveHeunSolver(atol=1e-3, rtol=1e-3),
+                           guidance=guidance, seed=0)
+    y = make_rng(14).normal(size=(8, 8))
+    with pytest.raises(CgConvergenceError) as info:
+        sample_posterior(config, AnalyticGaussianField(sigma_latr=0.5),
+                         IdentityDecoder((8, 8)), op, y)
+    assert info.value.trajectory is not None
 
 
 def test_inner_vector_all_ones_mask_with_unit_noise():

@@ -134,9 +134,19 @@ def test_basis_members_diagonalize_the_gram_operator(op):
     assert_rel_close(op.apply_coeffs(op.adjoint_coeffs(c)), lam * c)
     assert_rel_close(op.adjoint_coeffs(c), op.adjoint(y))
     assert_rel_close(op.apply_coeffs(x), op.coeffs(op.apply(x)))
+    gram = op.gram(y)
+    assert_rel_close(gram, op.apply(op.adjoint(y)))
+    assert gram is not y and not np.shares_memory(gram, y)
     if op.kind in ("circconv", "convdown"):
         assert np.shape(c) == (op.output_shape[0], op.output_shape[1] // 2 + 1)
         assert_rel_close(dft2_inverse(op.apply_coeffs(x), op.output_shape), op.apply(x))
+
+
+@pytest.mark.parametrize("idx", range(4))
+def test_gram_rejects_a_wrongly_shaped_measurement(idx):
+    op = make_operators(shape=(8, 6))[idx]
+    with pytest.raises(ShapeMismatchError):
+        op.gram(np.zeros((op.output_shape[0] + 1,) + op.output_shape[1:]))
 
 
 def test_convolution_with_delta_kernel_is_identity():

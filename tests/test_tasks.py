@@ -3,6 +3,8 @@
 End-to-end runs here use 16x16 images and loose tolerances: the point is
 pipeline plumbing (centering, splicing, reporting, determinism), not
 reconstruction quality, which the acceptance suite measures at full size.
+The CG-versus-closed-form runs use the 32x32 presets instead, so the
+iterative solve sees a realistic spectrum.
 """
 
 import math
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 from lflow.config import CONFIG_SCHEMA
+from lflow.errors import ConfigError
 from lflow.fields import COV_MODE_KINDS
 from lflow.numerics import make_rng
 from lflow.operators import CircConvOperator, ConvDownsampleOperator, MaskOperator
@@ -142,6 +145,36 @@ def test_resolve_truth_reads_files(tmp_path):
     cfg = fast_config(image=str(path))
     got = resolve_truth(cfg)
     assert np.max(np.abs(got - img)) <= 0.5 / 65535 + 1e-12
+
+
+def test_resolve_truth_rejects_an_image_of_another_size(tmp_path):
+    from lflow.imageio import write_pgm
+
+    path = tmp_path / "small.pgm"
+    write_pgm(path, make_rng(0).uniform(size=(8, 8)))
+    with pytest.raises(ConfigError, match=r"\[task\] image.*\[task\] size"):
+        resolve_truth(fast_config(image=str(path)))
+
+
+def test_singular_measurement_system_is_a_config_error():
+    with pytest.raises(ConfigError, match=r"\[task\] sigma_y.*\[guidance\] cov_mode"):
+        TaskConfig(sigma_y=0.0, cov_mode="zero")
+    with pytest.raises(ConfigError):
+        task_config_from_sections({"task": {"sigma_y": 0.0},
+                                   "guidance": {"cov_mode": "zero"}})
+    assert TaskConfig(sigma_y=0.0, cov_mode="lflow").sigma_y == 0.0
+    assert TaskConfig(sigma_y=0.01, cov_mode="zero").cov_mode == "zero"
+
+
+@pytest.mark.parametrize("kind", ["gaussian-deblur", "super-resolution"])
+def test_cg_guidance_reconstructs_like_the_closed_form(kind):
+    cfg = default_task_config(kind, size=32, seed=2)
+    y = degrade(cfg)
+    closed, closed_report = reconstruct(cfg, y)
+    cg, cg_report = reconstruct(replace(cfg, guidance_solver="cg"), y)
+    assert closed_report.ok and cg_report.ok
+    assert cg_report.nfe == closed_report.nfe
+    assert np.max(np.abs(cg - closed)) <= 1e-9
 
 
 def test_degrade_is_reproducible_at_a_seed_offset():
