@@ -68,11 +68,18 @@ class CallbackField:
 VectorFieldSpec = Union[AnalyticGaussianField, CallbackField]
 
 
+def field_evaluator(field: VectorFieldSpec) -> Callable[[RealField, float], RealField]:
+    """v(z, t) of the given field, with the field kind resolved once."""
+    if isinstance(field, AnalyticGaussianField):
+        scalar = field.scalar
+        return lambda z, t: scalar(t) * np.asarray(z, dtype=np.float64)
+    fn = field.fn
+    return lambda z, t: np.asarray(fn(z, t), dtype=np.float64)
+
+
 def eval_field(field: VectorFieldSpec, z: RealField, t: float) -> RealField:
     """Velocity v(z, t) of the given field."""
-    if isinstance(field, AnalyticGaussianField):
-        return field.scalar(t) * np.asarray(z, dtype=np.float64)
-    return np.asarray(field.fn(z, t), dtype=np.float64)
+    return field_evaluator(field)(z, t)
 
 
 def posterior_mean(field: VectorFieldSpec, z: RealField, t: float) -> RealField:
@@ -87,6 +94,17 @@ def field_sigma_latr(field: VectorFieldSpec) -> float:
     return field.surrogate_sigma_latr
 
 
+def mean_jacobian_fn(field: VectorFieldSpec) -> Callable[[float], float]:
+    """mean_jacobian_scalar(field, t) as a function of t alone."""
+    s2 = field_sigma_latr(field) ** 2
+
+    def c(t: float) -> float:
+        om = 1.0 - t
+        return om * s2 / (om * om * s2 + t * t)
+
+    return c
+
+
 def mean_jacobian_scalar(field: VectorFieldSpec, t: float) -> float:
     """Scalar c(t) with grad_z E[z0 | z_t] = c(t) I.
 
@@ -95,9 +113,7 @@ def mean_jacobian_scalar(field: VectorFieldSpec, t: float) -> float:
     same expression is evaluated at the surrogate sigma, i.e.
     c(t) = 1 - t j(t) with j the surrogate field's velocity Jacobian.
     """
-    s2 = field_sigma_latr(field) ** 2
-    om = 1.0 - t
-    return om * s2 / (om * om * s2 + t * t)
+    return mean_jacobian_fn(field)(t)
 
 
 @dataclass(frozen=True)
@@ -134,20 +150,27 @@ class CovarianceMode:
             raise ValueError(f"sigma_data must be > 0, got {self.sigma_data}")
 
 
-def posterior_cov_scalar(
-    mode: CovarianceMode, t: float, field: VectorFieldSpec | None = None
-) -> float:
-    """Evaluate the covariance mode at time t (see CovarianceMode)."""
-    t = float(t)
+def posterior_cov_fn(
+    mode: CovarianceMode, field: VectorFieldSpec | None = None
+) -> Callable[[float], float]:
+    """posterior_cov_scalar(mode, t, field) as a function of t alone, with
+    the kind and the prior scale resolved once."""
     if mode.kind == "zero":
-        return 0.0
+        return lambda t: 0.0
     if mode.kind == "pigdm":
         sd2 = mode.sigma_data**2
-        om = 1.0 - t
-        return sd2 * t * t / (om * om * sd2 + t * t)
+
+        def r2(t: float) -> float:
+            om = 1.0 - t
+            return sd2 * t * t / (om * om * sd2 + t * t)
+
+        return r2
     if mode.kind == "eq17":
-        om = 1.0 - t
-        return t * t * (om * (1.0 - 2.0 * t) + 2.0 * t * t) / (om * (om * om + t * t))
+        def r2(t: float) -> float:
+            om = 1.0 - t
+            return t * t * (om * (1.0 - 2.0 * t) + 2.0 * t * t) / (om * (om * om + t * t))
+
+        return r2
     # lflow
     if mode.sigma_latr is not None:
         s2 = mode.sigma_latr**2
@@ -155,8 +178,19 @@ def posterior_cov_scalar(
         s2 = field_sigma_latr(field) ** 2
     else:
         s2 = 1.0
-    om = 1.0 - t
-    return t * t * s2 / (om * om * s2 + t * t)
+
+    def r2(t: float) -> float:
+        om = 1.0 - t
+        return t * t * s2 / (om * om * s2 + t * t)
+
+    return r2
+
+
+def posterior_cov_scalar(
+    mode: CovarianceMode, t: float, field: VectorFieldSpec | None = None
+) -> float:
+    """Evaluate the covariance mode at time t (see CovarianceMode)."""
+    return posterior_cov_fn(mode, field)(float(t))
 
 
 def jacobian_bounds(gamma: float, t: float) -> tuple[float, float]:

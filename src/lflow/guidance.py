@@ -39,7 +39,10 @@ from .fields import (
     CovarianceMode,
     VectorFieldSpec,
     eval_field,
+    field_evaluator,
+    mean_jacobian_fn,
     mean_jacobian_scalar,
+    posterior_cov_fn,
     posterior_cov_scalar,
     posterior_mean,
 )
@@ -224,22 +227,26 @@ def make_velocity(spec: GuidanceSpec, field: VectorFieldSpec, dec: DecoderSpec,
     kappa = 1.0 if isinstance(dec, IdentityDecoder) else dec.scale
     kappa2 = kappa * kappa
     sy2 = spec.sigma_y * spec.sigma_y
-    mode = spec.cov_mode
     passes = 1 if spec.literal_update else spec.k_steps
     lam = op.gram_eigenvalues
     y_hat = op.coeffs(y)
     apply_coeffs = op.apply_coeffs
     adjoint_coeffs = op.adjoint_coeffs
+    # The field kind and the covariance mode are fixed for the run.
+    field_velocity = field_evaluator(field)
+    mean_jacobian = mean_jacobian_fn(field)
+    cov = posterior_cov_fn(spec.cov_mode, field)
 
     def velocity(z, t: float) -> RealField:
-        v_uncond = eval_field(field, z, t)
-        c = mean_jacobian_scalar(field, t)
+        v_uncond = field_velocity(z, t)
+        c = mean_jacobian(t)
         g = t / (1.0 - t)
-        d = sy2 + (posterior_cov_scalar(mode, t, field) * kappa2) * lam
+        d = sy2 + (cov(t) * kappa2) * lam
         # w = (y_hat - kappa * A_hat z_bar) / d, in place on a fresh array.
         w = apply_coeffs(z - t * v_uncond)
-        w *= -kappa
-        w += y_hat
+        if kappa != 1.0:
+            w *= kappa
+        np.subtract(y_hat, w, out=w)
         w /= d
         if passes > 1:
             mu = (g * t * c * kappa2) * lam / d

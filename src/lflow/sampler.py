@@ -9,21 +9,36 @@ reverse flow, no sign flip needed.
 
 Steppers:
 
-* `EulerSolver(steps)` / `HeunSolver(steps)`: fixed uniform grid.
+* `EulerSolver(steps)` / `HeunSolver(steps)`: fixed uniform grid; every
+  step counts as accepted.
 * `AdaptiveHeunSolver`: Heun step with the embedded Euler estimate,
   componentwise error scale atol + rtol * |z|, RMS norm, accept when the
   scaled error is at most 1, step factor 0.9 * err^(-1/2) clamped to
   [0.2, 5.0]. The first stage is reused when a step is rejected, so NFE
   counts one evaluation per rejection and two per accepted step.
 
-Every accepted state is checked finite; a run never silently returns
-garbage. Failures raise MaxStepsExceededError or StepUnderflowError,
-both carrying the last good state; any error raised mid-run also carries
-the partial trajectory, so its NFE is not lost.
+Finiteness: a run never silently returns garbage. Every accepted state
+is checked through the dot product the recorder takes for its state
+norm anyway; only when that is not finite does an elementwise scan tell
+a NaN or Inf entry (NonFiniteError) from a finite state whose squared
+norm overflows (recorded as an infinite norm). In the adaptive stepper a
+non-finite error estimate whose stages hold a non-finite entry is a
+NonFiniteError naming the stage's time, not a rejection; a finite stage
+pair whose error estimate overflows stays a rejection.
+
+The adaptive loop builds each intermediate (trial state, Heun state,
+error scale, error vector) in place on its own fresh array. It never
+writes k1, which a rejected step reuses, or the accepted state z, which
+the next step reads and a solver error carries.
+
+Failures raise MaxStepsExceededError or StepUnderflowError, both
+carrying the last good state; any error raised mid-run also carries the
+partial trajectory, so its NFE is not lost.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -167,11 +182,6 @@ def init_state(config: SamplerConfig, dec: DecoderSpec, op: LinearOperatorDescri
     return config.schedule.interpolate(encoded, z1, config.t_s)
 
 
-def _check_accepted(z: np.ndarray, t: float) -> None:
-    if not np.all(np.isfinite(z)):
-        raise NonFiniteError(f"state became non-finite at t={t:.6g}")
-
-
 class _Recorder:
     """Accumulates the trajectory during a run."""
 
@@ -182,10 +192,23 @@ class _Recorder:
             traj.states = []
 
     def add(self, t: float, z: np.ndarray) -> None:
+        """Record the point (t, z); every point after the start is an
+        accepted step.
+
+        The dot product behind the state norm is also the finiteness
+        check: it is finite whenever z is. Only a non-finite norm costs
+        an elementwise scan, which tells a NaN or Inf entry (raise) from
+        a finite state whose squared norm overflows (record inf).
+        """
+        flat = z.ravel(order="K")
+        sq = float(flat.dot(flat))
+        if not math.isfinite(sq) and not np.isfinite(z).all():
+            raise NonFiniteError(f"state became non-finite at t={t:.6g}")
         traj = self.traj
+        traj.accepted = len(traj.times)
         traj.times.append(float(t))
         traj.nfe_cumulative.append(traj.nfe)
-        traj.state_norms.append(float(np.linalg.norm(z)))
+        traj.state_norms.append(math.sqrt(sq))
         if self.residual_fn is not None:
             traj.residual_norms.append(self.residual_fn(z, t))
         if traj.states is not None:
@@ -208,12 +231,18 @@ def integrate(config: SamplerConfig, field: VectorFieldSpec, dec: DecoderSpec,
     traj = Trajectory()
     velocity = make_velocity(config.guidance, field, dec, op, y)
 
+    t_max = schedule.t_max
+
     def f(state, t):
-        tc = schedule.clamp(t)
-        if tc != t:
-            traj.clamp_events += 1
+        # schedule.clamp, inlined: this runs once per NFE.
         traj.nfe += 1
-        return velocity(state, tc)
+        if t < t_min:
+            traj.clamp_events += 1
+            t = t_min
+        elif t > t_max:
+            traj.clamp_events += 1
+            t = t_max
+        return velocity(state, t)
 
     residual_fn = None
     if record_residuals:
@@ -222,8 +251,6 @@ def integrate(config: SamplerConfig, field: VectorFieldSpec, dec: DecoderSpec,
             return float(np.linalg.norm(r))
 
     rec = _Recorder(traj, record_states, residual_fn)
-    rec.add(config.t_s, z)
-
     if isinstance(config.solver, EulerSolver):
         run = _run_euler
     elif isinstance(config.solver, HeunSolver):
@@ -231,6 +258,7 @@ def integrate(config: SamplerConfig, field: VectorFieldSpec, dec: DecoderSpec,
     else:
         run = _run_adaptive
     try:
+        rec.add(config.t_s, z)
         z = run(config, f, z, t_min, rec)
     except LflowError as exc:
         exc.trajectory = traj
@@ -245,7 +273,6 @@ def _run_euler(config, f, z, t_min, rec):
     for i in range(n):
         z = z + h * f(z, t)
         t = config.t_s + (i + 1) * h if i + 1 < n else t_min
-        _check_accepted(z, t)
         rec.add(t, z)
     return z
 
@@ -260,17 +287,26 @@ def _run_heun(config, f, z, t_min, rec):
         k2 = f(z + h * k1, t_next)
         z = z + 0.5 * h * (k1 + k2)
         t = t_next
-        _check_accepted(z, t)
         rec.add(t, z)
     return z
 
 
+def _check_stages(k1, k2, t: float, h: float) -> None:
+    """Raise NonFiniteError if a stage of the step from t to t + h is not
+    finite; called only when the step's error estimate is not finite."""
+    for k, t_stage in ((k1, t), (k2, t + h)):
+        if not np.isfinite(k).all():
+            raise NonFiniteError(f"velocity became non-finite at t={t_stage:.6g}")
+
+
 def _run_adaptive(config, f, z, t_min, rec):
     solver = config.solver
+    atol, rtol = solver.atol, solver.rtol
     t = config.t_s
     span = t - t_min
     h_abs = solver.h_init if solver.h_init is not None else span / H_INIT_FRACTION
     h_abs = min(h_abs, span)
+    size = z.size
     steps = 0
     k1 = f(z, t)
     while t - t_min > 1e-12:
@@ -281,25 +317,46 @@ def _run_adaptive(config, f, z, t_min, rec):
         steps += 1
         h_abs = min(h_abs, t - t_min)
         h = -h_abs
-        z_euler = z + h * k1
+        half_h = 0.5 * h
+        # z + h k1, z + (h/2)(k1 + k2) and (h/2)(k2 - k1) / (atol + rtol |z|),
+        # each built in place on its own fresh array: k1 is reused after a
+        # rejection and z is the accepted state, so neither is written.
+        z_euler = h * k1
+        z_euler += z
         k2 = f(z_euler, t + h)
-        z_heun = z + (0.5 * h) * (k1 + k2)
-        scale = solver.atol + solver.rtol * np.abs(z)
-        err_vec = (0.5 * h) * (k2 - k1) / scale
-        err = float(np.sqrt(np.mean(err_vec * err_vec)))
+        z_heun = k1 + k2
+        z_heun *= half_h
+        z_heun += z
+        scale = np.abs(z)
+        scale *= rtol
+        scale += atol
+        err_vec = k2 - k1
+        err_vec *= half_h
+        err_vec /= scale
+        err_vec *= err_vec
+        err = math.sqrt(float(err_vec.sum()) / size)
         if err <= 1.0:
             t = t + h
             if t - t_min <= 1e-12:
                 t = t_min
             z = z_heun
-            _check_accepted(z, t)
-            rec.traj.accepted += 1
             rec.add(t, z)
             if t - t_min > 1e-12:
                 k1 = f(z, t)
         else:
+            # err is NaN or inf when a stage is; from finite stages it can
+            # still overflow to inf, and that stays a rejection.
+            if not math.isfinite(err):
+                _check_stages(k1, k2, t, h)
             rec.traj.rejected += 1
-        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 / np.sqrt(err)))
+        if err == 0.0:
+            factor = 5.0
+        else:
+            factor = 0.9 / math.sqrt(err)
+            if factor > 5.0:
+                factor = 5.0
+            elif factor < 0.2:
+                factor = 0.2
         h_abs = h_abs * factor
     return z
 

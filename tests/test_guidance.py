@@ -395,16 +395,22 @@ def test_fused_dense_velocity_matches_the_generic_path(dec_kind, monkeypatch):
         AnalyticGaussianField(sigma_latr=0.8),
         CallbackField(lambda z, t: np.sin(z) - t * z, surrogate_sigma_latr=0.8),
     )
+    # Non-default mode parameters check that the per-run mode dispatch
+    # honours them.
+    modes = [CovarianceMode(kind=kind) for kind in COV_MODE_KINDS] + [
+        CovarianceMode(kind="lflow", sigma_latr=0.5),
+        CovarianceMode(kind="pigdm", sigma_data=0.7),
+    ]
     for op_kind in ("mask", "circconv", "convdown", "dense"):
         op = make_operator(op_kind, rng, shape=(6, 6))
         shape = op.input_shape
         dec = IdentityDecoder(shape) if dec_kind == "identity" else DiagonalScaleDecoder(1.4, shape)
         y = rng.normal(size=op.output_shape)
         z = rng.normal(size=shape)
-        for field, kind, k_steps, literal in itertools.product(
-            fields, COV_MODE_KINDS, (1, 2, 3, 5), (False, True)
+        for field, mode, k_steps, literal in itertools.product(
+            fields, modes, (1, 2, 3, 5), (False, True)
         ):
-            spec = GuidanceSpec(cov_mode=CovarianceMode(kind=kind), sigma_y=0.1,
+            spec = GuidanceSpec(cov_mode=mode, sigma_y=0.1,
                                 k_steps=k_steps, literal_update=literal)
             fused = make_velocity(spec, field, dec, op, y)
             for t in (0.1, 0.5, 0.9):
@@ -413,7 +419,7 @@ def test_fused_dense_velocity_matches_the_generic_path(dec_kind, monkeypatch):
                 got = fused(z, t)
                 assert not passes, "the fused closure fell back to the per-pass route"
                 err = float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
-                assert err < 1e-12, (op_kind, type(field).__name__, kind, k_steps, literal, t, err)
+                assert err < 1e-12, (op_kind, type(field).__name__, mode, k_steps, literal, t, err)
 
 
 def test_fused_path_honors_the_literal_update_flag():

@@ -20,7 +20,7 @@ from lflow.errors import (
     ShapeMismatchError,
     StepUnderflowError,
 )
-from lflow.fields import AnalyticGaussianField, CallbackField
+from lflow.fields import AnalyticGaussianField, CallbackField, CovarianceMode
 from lflow.guidance import GuidanceSpec
 from lflow.numerics import gaussian_vector, make_rng
 from lflow.operators import (
@@ -204,12 +204,28 @@ def test_identical_config_and_seed_reproduce_bits():
 
 def test_fixed_step_evaluation_counts():
     field, dec, op, y = small_problem()
+    # Every fixed step is an accepted step.
     euler = SamplerConfig(solver=EulerSolver(steps=23), guidance=quiet_guidance())
     _, traj = integrate(euler, field, dec, op, y, make_rng(0))
-    assert traj.nfe == 23
+    assert traj.nfe == traj.accepted == 23
+    assert len(traj.times) == traj.accepted + 1
     heun = SamplerConfig(solver=HeunSolver(steps=23), guidance=quiet_guidance())
     _, traj = integrate(heun, field, dec, op, y, make_rng(0))
-    assert traj.nfe == 46
+    assert traj.nfe == 2 * traj.accepted == 46
+    assert len(traj.times) == traj.accepted + 1
+
+
+def test_adaptive_run_is_pinned():
+    # Counts and endpoint of one adaptive run (one rejection included),
+    # pinned so that a rewrite of the step loop must keep its arithmetic.
+    field, dec, op, y = small_problem()
+    config = SamplerConfig(guidance=GuidanceSpec(sigma_y=0.1))
+    z, traj = integrate(config, field, dec, op, y, make_rng(5))
+    assert (traj.nfe, traj.accepted, traj.rejected) == (745, 372, 1)
+    np.testing.assert_allclose(
+        z, [-0.6865393050241806, -1.3720785794420605, 0.2041404023189987, 0.509066216796141],
+        rtol=0.0, atol=1e-13,
+    )
 
 
 def test_adaptive_evaluation_accounting():
@@ -223,6 +239,7 @@ def test_adaptive_evaluation_accounting():
     # first stage after every accepted step except the last.
     assert traj.nfe == 2 * traj.accepted + traj.rejected
     assert traj.accepted > 0
+    assert len(traj.times) == traj.accepted + 1
 
 
 def test_trajectory_times_decrease_from_start_to_t_min():
@@ -357,6 +374,43 @@ def test_exploding_state_raises_instead_of_returning():
             integrate(config, field, dec, op, np.zeros(4), make_rng(10))
 
 
+def test_non_finite_velocity_raises_instead_of_underflowing():
+    # NaN stages make the error estimate NaN; that is a failed run, not a
+    # rejection that shrinks h down to the underflow floor.
+    def field_fn(z, t):
+        return np.full_like(z, np.nan) if t <= 0.5 else -z
+
+    dec = IdentityDecoder((2, 2))
+    op = MaskOperator(np.ones((2, 2)))
+    config = SamplerConfig(
+        guidance=GuidanceSpec(cov_mode=CovarianceMode(kind="zero"), sigma_y=1.0)
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError, match="velocity became non-finite") as info:
+            integrate(config, CallbackField(field_fn), dec, op, np.zeros(4), make_rng(0))
+    traj = info.value.trajectory
+    # Beyond a finished run's count: the first stage after the last
+    # accepted step and the failed step's trial stage.
+    assert traj.nfe == 2 * traj.accepted + traj.rejected + 2
+    assert traj.times[-1] > 0.5
+    t_failed = float(str(info.value).rsplit("t=", 1)[1])
+    assert t_failed <= 0.5
+
+
+def test_finite_state_whose_norm_overflows_is_recorded():
+    # Every entry is finite but the squared norm is not: the run goes on
+    # and records an infinite state norm.
+    field = CallbackField(lambda z, t: np.full_like(z, -1e200))
+    dec = IdentityDecoder((2, 2))
+    op = MaskOperator(np.ones((2, 2)))
+    config = SamplerConfig(solver=EulerSolver(steps=4), guidance=quiet_guidance())
+    with np.errstate(over="ignore"):
+        z, traj = integrate(config, field, dec, op, np.zeros(4), make_rng(0))
+    assert np.all(np.isfinite(z))
+    assert traj.accepted == 4
+    assert traj.state_norms[-1] == np.inf
+
+
 def test_step_budget_exhaustion_carries_the_last_state():
     field, dec, op, y = small_problem()
     config = SamplerConfig(
@@ -371,16 +425,22 @@ def test_step_budget_exhaustion_carries_the_last_state():
 
 def test_persistent_rejection_underflows_the_step():
     # A wildly oscillating velocity keeps the error estimate above one,
-    # so the controller shrinks h until it hits the floor.
-    field = CallbackField(lambda z, t: 1e9 * np.cos(1e9 * t) * np.ones_like(z))
+    # so the controller shrinks h until it hits the floor. At amplitude
+    # 1e308 the finite stages' difference overflows: an infinite error
+    # estimate from finite stages is still a rejection.
     dec = IdentityDecoder((2, 2))
     op = MaskOperator(np.ones((2, 2)))
     config = SamplerConfig(
         solver=AdaptiveHeunSolver(atol=1e-8, rtol=1e-8, h_min=1e-6),
         guidance=quiet_guidance(),
     )
-    with pytest.raises(StepUnderflowError):
-        integrate(config, field, dec, op, np.zeros(4), make_rng(12))
+    for amplitude in (1e9, 1e308):
+        field = CallbackField(
+            lambda z, t, a=amplitude: a * np.cos(1e9 * t) * np.ones_like(z)
+        )
+        with np.errstate(over="ignore"):
+            with pytest.raises(StepUnderflowError):
+                integrate(config, field, dec, op, np.zeros(4), make_rng(12))
 
 
 def test_trajectory_csv_round_trip(tmp_path):
