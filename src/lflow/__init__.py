@@ -13,9 +13,7 @@ from .decoders import (
     LinearMatrixDecoder,
     decode,
     encode,
-    gram_scalar,
-    jvp,
-    vjp,
+    latent_operator,
 )
 from .errors import (
     CgConvergenceError,

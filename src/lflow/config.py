@@ -18,6 +18,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 
 from .errors import ConfigError
 
@@ -78,7 +79,10 @@ def _parse_value(section: str, key: str, raw: str, typ: type):
             if word not in _BOOL_WORDS:
                 raise ValueError(f"not a boolean: {raw!r}")
             return _BOOL_WORDS[word]
-        return typ(raw)
+        value = typ(raw)
+        if typ is float and not math.isfinite(value):
+            raise ValueError(f"must be finite, got {raw!r}")
+        return value
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from exc
 

@@ -1,29 +1,31 @@
 """Decoders mapping latent states to pixel fields.
 
 Sampling runs in latent space; the measurement operators act on fields.
-A decoder bridges the two. All three kinds here are linear, so their
-Jacobian products (`jvp`, `vjp`) do not depend on the base point and the
+A decoder bridges the two. All three kinds here are linear, and the
 encode direction is a ridge-regularized least-squares solve.
 
-The guidance math wants to treat the decoder Gram matrix J J^T as a
-scalar multiple of the identity. `gram_scalar` returns that multiple
-when it is exact (identity and uniform scaling) and falls back to 1.0
-with a one-time warning otherwise.
+Guidance sees the measurement map from latent space, B = A o decode.
+`latent_operator` builds it once per run and is the only place that
+decides how a decoder enters it: the identity decoder gives the operator
+itself, a scale decoder wraps it in a `ScaledOperator` over the same
+basis, and a matrix decoder gives a `DenseOperator` whose columns are A
+applied to the decoder's columns. Each result has the operator protocol
+of `lflow.operators`, basis members included.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeMismatchError, ZeroScaleError
 from .numerics import RealField, as_field
+from .operators import DenseOperator, LinearOperatorDescriptor
 
 ENCODE_RIDGE = 1e-10
 ZERO_SCALE_TOL = 1e-12
-GRAM_ISO_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,8 @@ class DiagonalScaleDecoder:
     shape: tuple
 
     def __post_init__(self):
+        if not math.isfinite(self.scale):
+            raise ValueError(f"decoder scale {self.scale} is not finite")
         if abs(self.scale) < ZERO_SCALE_TOL:
             raise ZeroScaleError(f"decoder scale {self.scale} is numerically zero")
         object.__setattr__(self, "scale", float(self.scale))
@@ -129,55 +133,54 @@ def encode(decoder: DecoderSpec, field) -> RealField:
     return decoder._solve_encode(rhs).reshape(decoder.latent_shape)
 
 
-def jvp(decoder: DecoderSpec, tangent) -> RealField:
-    """Jacobian-vector product J v; base-point free because J is constant."""
-    v = _check("jvp", tangent, decoder.latent_shape)
-    if isinstance(decoder, IdentityDecoder):
-        return v.copy()
-    if isinstance(decoder, DiagonalScaleDecoder):
-        return decoder.scale * v
-    return (decoder.matrix @ v.ravel()).reshape(decoder.field_shape)
+class ScaledOperator:
+    """An operator composed with a scale decoder: x -> op.apply(scale x).
 
-
-def vjp(decoder: DecoderSpec, cotangent) -> RealField:
-    """Transposed product J^T w, the adjoint of jvp."""
-    w = _check("vjp", cotangent, decoder.field_shape)
-    if isinstance(decoder, IdentityDecoder):
-        return w.copy()
-    if isinstance(decoder, DiagonalScaleDecoder):
-        return decoder.scale * w
-    return (decoder.matrix.T @ w.ravel()).reshape(decoder.latent_shape)
-
-
-def gram_scalar(decoder: DecoderSpec) -> float:
-    """The kappa^2 with J J^T = kappa^2 I, or 1.0 with a warning.
-
-    Exact for the identity (1) and uniform scaling (scale^2). A matrix
-    decoder qualifies only if its Gram matrix is isotropic to rounding;
-    anything else falls back to 1.0 so the guidance covariance stays a
-    scalar, and says so once.
+    It keeps op's basis: a measurement has op's coefficients, A and A^T
+    (and their coefficient forms) pick up the scale, and A A^T and its
+    eigenvalues pick up its square.
     """
+
+    def __init__(self, op: LinearOperatorDescriptor, scale: float):
+        self.op = op
+        self.scale = float(scale)
+        self.kind = f"scaled-{op.kind}"
+        self.input_shape = op.input_shape
+        self.output_shape = op.output_shape
+        self.gram_eigenvalues = self.scale * self.scale * op.gram_eigenvalues
+        self.coeffs = op.coeffs
+
+    def apply(self, x) -> np.ndarray:
+        return self.scale * self.op.apply(x)
+
+    def adjoint(self, y) -> np.ndarray:
+        return self.scale * self.op.adjoint(y)
+
+    def apply_coeffs(self, x) -> np.ndarray:
+        return self.scale * self.op.apply_coeffs(x)
+
+    def adjoint_coeffs(self, w) -> np.ndarray:
+        return self.scale * self.op.adjoint_coeffs(w)
+
+    def gram(self, u) -> np.ndarray:
+        return self.scale * self.scale * self.op.gram(u)
+
+
+def latent_operator(op: LinearOperatorDescriptor, decoder: DecoderSpec):
+    """B = A o decode, the measurement map seen from latent space.
+
+    The identity decoder returns op itself, a scale decoder a
+    `ScaledOperator` over op's basis, and a matrix decoder M the
+    `DenseOperator` with columns A M[:, j] (any operator kind; its basis
+    is the cached eigendecomposition of B B^T), on op's measurement grid.
+    """
+    if decoder.field_shape != tuple(op.input_shape):
+        raise ShapeMismatchError(f"decoder field shape {decoder.field_shape} is not "
+                                 f"the operator input shape {tuple(op.input_shape)}")
     if isinstance(decoder, IdentityDecoder):
-        return 1.0
+        return op
     if isinstance(decoder, DiagonalScaleDecoder):
-        return decoder.scale**2
-    gram = decoder.matrix @ decoder.matrix.T
-    kappa2 = float(np.trace(gram)) / gram.shape[0]
-    dev = float(np.max(np.abs(gram - kappa2 * np.eye(gram.shape[0]))))
-    if dev <= GRAM_ISO_RTOL * max(1.0, abs(kappa2)):
-        return kappa2
-    _warn_anisotropic_once()
-    return 1.0
-
-
-_warned_anisotropic = False
-
-
-def _warn_anisotropic_once() -> None:
-    global _warned_anisotropic
-    if not _warned_anisotropic:
-        warnings.warn(
-            "decoder Gram matrix is not isotropic; guidance treats it as identity",
-            stacklevel=3,
-        )
-        _warned_anisotropic = True
+        return ScaledOperator(op, decoder.scale)
+    columns = [op.apply(col.reshape(decoder.field_shape)).ravel() for col in decoder.matrix.T]
+    return DenseOperator(np.stack(columns, axis=1), input_shape=decoder.latent_shape,
+                         output_shape=op.output_shape)

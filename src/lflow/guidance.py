@@ -7,24 +7,25 @@ likelihood built from three pieces:
 
 * the denoised mean z_bar = z - t v(z, t) and its scalar Jacobian c(t),
 * an isotropic denoising covariance r2(t) (see `CovarianceMode`),
-* the measurement model y = A(decode(z0)) + noise, std sigma_y.
+* the measurement model y = B z0 + noise, std sigma_y, where B = A o
+  decode is the measurement map seen from latent space
+  (`decoders.latent_operator`, built once per run).
 
-Those combine into grad = c(t) J^T A^T S^{-1} (y - A decode(z_bar)) with
-S = sigma_y^2 I + r2(t) kappa^2 A A^T, where kappa^2 is the decoder Gram
-factor. `inner_vector` evaluates A^T S^{-1} residual, the only part that
-touches the operator structure. Every operator diagonalizes A A^T in its
-own basis (see `lflow.operators`), so the closed form divides the
-residual's basis coefficients by sigma_y^2 + r2 lambda, mode by mode; the
-conjugate-gradient solver is the iterative reference. It solves S u =
-residual on the measurement grid with the matvec sigma_y^2 u + r2
-op.gram(u), where `gram` is the operator's own A A^T product (one
-transform pair for the convolution operators), and applies A^T once to
-the solution.
+Those combine into grad = c(t) B^T S^{-1} (y - B z_bar) with S =
+sigma_y^2 I + r2(t) B B^T. `inner_vector` evaluates B^T S^{-1} residual,
+the only part that touches the operator structure. Every operator, and
+so every B, diagonalizes B B^T in its own basis (see `lflow.operators`),
+so the closed form divides the residual's basis coefficients by
+sigma_y^2 + r2 lambda, mode by mode; the conjugate-gradient solver is the
+iterative reference. It solves S u = residual on the measurement grid
+with the matvec sigma_y^2 u + r2 B.gram(u), where `gram` is the
+operator's own B B^T product (one transform pair for the convolution
+operators), and applies B^T once to the solution.
 
-In the linear-Gaussian setting (analytic field, identity or scaling
-decoder) nothing here is approximate: the gradient equals the gradient
-of the explicit marginal log N(y; c A M z, S), which the test suite
-checks to 1e-10.
+In the linear-Gaussian setting (analytic field, linear decoder) nothing
+here is approximate: the gradient equals the gradient of the explicit
+marginal log N(y; c B z, S), and the K = 1 velocity is the exact
+conditional flow velocity, which the oracle checks to 1e-10.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoders import DecoderSpec, DiagonalScaleDecoder, IdentityDecoder, decode, gram_scalar, vjp
+from .decoders import DecoderSpec, latent_operator
 from .errors import CgConvergenceError
 from .fields import (
     CovarianceMode,
@@ -161,14 +162,12 @@ def inner_vector(op: LinearOperatorDescriptor, residual, sigma_y: float, r2: flo
     return op.adjoint_coeffs(op.coeffs(residual) / (sigma_y * sigma_y + r2 * op.gram_eigenvalues))
 
 
-def _gradient_at_mean(spec: GuidanceSpec, field: VectorFieldSpec, dec: DecoderSpec,
-                      op: LinearOperatorDescriptor, y: np.ndarray,
+def _gradient_at_mean(spec: GuidanceSpec, field: VectorFieldSpec, b, y: np.ndarray,
                       z0_mean: np.ndarray, t: float) -> RealField:
-    residual = y - op.apply(decode(dec, z0_mean))
+    residual = y - b.apply(z0_mean)
     r2 = posterior_cov_scalar(spec.cov_mode, t, field)
-    kappa2 = gram_scalar(dec)
-    u = inner_vector(op, residual, spec.sigma_y, r2 * kappa2, solver=spec.solver)
-    return mean_jacobian_scalar(field, t) * vjp(dec, u)
+    u = inner_vector(b, residual, spec.sigma_y, r2, solver=spec.solver)
+    return mean_jacobian_scalar(field, t) * u
 
 
 def likelihood_gradient(spec: GuidanceSpec, field: VectorFieldSpec, dec: DecoderSpec,
@@ -176,7 +175,22 @@ def likelihood_gradient(spec: GuidanceSpec, field: VectorFieldSpec, dec: Decoder
     """Gradient of the measurement log-likelihood surrogate at state z, time t."""
     y = as_field(y)
     z = as_field(z)
-    return _gradient_at_mean(spec, field, dec, op, y, posterior_mean(field, z, t), t)
+    b = latent_operator(op, dec)
+    return _gradient_at_mean(spec, field, b, y, posterior_mean(field, z, t), t)
+
+
+def _corrected_velocity(spec: GuidanceSpec, field: VectorFieldSpec, b, y: np.ndarray,
+                        z, t: float) -> RealField:
+    z = as_field(z)
+    if not 0.0 <= t < 1.0:
+        raise ValueError(f"corrected velocity needs t in [0, 1), got {t}")
+    v_uncond = eval_field(field, z, t)
+    g = t / (1.0 - t)
+    v = v_uncond
+    for _ in range(1 if spec.literal_update else spec.k_steps):
+        grad = _gradient_at_mean(spec, field, b, y, z - t * v, t)
+        v = v_uncond - g * grad
+    return v
 
 
 def corrected_velocity(spec: GuidanceSpec, field: VectorFieldSpec, dec: DecoderSpec,
@@ -187,51 +201,39 @@ def corrected_velocity(spec: GuidanceSpec, field: VectorFieldSpec, dec: DecoderS
     when literal_update is set); pass k re-derives the denoised mean from
     the velocity produced by pass k-1 and rebuilds the gradient there.
     """
-    y = as_field(y)
-    z = as_field(z)
-    if not 0.0 <= t < 1.0:
-        raise ValueError(f"corrected velocity needs t in [0, 1), got {t}")
-    v_uncond = eval_field(field, z, t)
-    g = t / (1.0 - t)
-    v = v_uncond
-    for _ in range(1 if spec.literal_update else spec.k_steps):
-        grad = _gradient_at_mean(spec, field, dec, op, y, z - t * v, t)
-        v = v_uncond - g * grad
-    return v
+    return _corrected_velocity(spec, field, latent_operator(op, dec), as_field(y), z, t)
 
 
 def make_velocity(spec: GuidanceSpec, field: VectorFieldSpec, dec: DecoderSpec,
                   op: LinearOperatorDescriptor, y):
     """Build velocity(z, t) with per-run constants hoisted out of the loop.
 
-    With the closed-form solver and an identity or scaling decoder (scale
-    kappa), the K passes of corrected_velocity collapse into one per-mode
-    multiplier. In the operator's basis, with d = sigma_y^2 +
-    r2 kappa^2 lambda, pass one gives w = (y_hat - kappa A_hat z_bar) / d
-    at z_bar = z - t v_u, and pass k gives w (1 - mu + ... + (-mu)^(k-1))
-    with mu = g t c kappa^2 lambda / d, because A A^T acts as lambda on
-    each mode. The K-pass velocity is therefore
+    B = latent_operator(op, dec) is built once here. With the closed-form
+    solver the K passes of corrected_velocity collapse into one per-mode
+    multiplier. In B's basis, with d = sigma_y^2 + r2 lambda, pass one
+    gives w = (y_hat - B_hat z_bar) / d at z_bar = z - t v_u, and pass k
+    gives w (1 - mu + ... + (-mu)^(k-1)) with mu = g t c lambda / d,
+    because B B^T acts as lambda on each mode. The K-pass velocity is
+    therefore
 
-        v_u - g c kappa A^T (w (1 - (-mu)^K) / (1 + mu)),
+        v_u - g c B^T (w (1 - (-mu)^K) / (1 + mu)),
 
-    one forward and one inverse transform per evaluation for any K. Every
-    other combination falls through to corrected_velocity.
+    one forward and one inverse transform per evaluation for any K. The
+    conjugate-gradient solver runs the pass-by-pass route on the same B.
     """
     y = as_field(y)
-    if not (isinstance(spec.solver, ClosedFormSolver)
-            and isinstance(dec, (IdentityDecoder, DiagonalScaleDecoder))):
+    b = latent_operator(op, dec)
+    if not isinstance(spec.solver, ClosedFormSolver):
         def velocity(z, t: float) -> RealField:
-            return corrected_velocity(spec, field, dec, op, y, z, t)
+            return _corrected_velocity(spec, field, b, y, z, t)
         return velocity
 
-    kappa = 1.0 if isinstance(dec, IdentityDecoder) else dec.scale
-    kappa2 = kappa * kappa
     sy2 = spec.sigma_y * spec.sigma_y
     passes = 1 if spec.literal_update else spec.k_steps
-    lam = op.gram_eigenvalues
-    y_hat = op.coeffs(y)
-    apply_coeffs = op.apply_coeffs
-    adjoint_coeffs = op.adjoint_coeffs
+    lam = b.gram_eigenvalues
+    y_hat = b.coeffs(y)
+    apply_coeffs = b.apply_coeffs
+    adjoint_coeffs = b.adjoint_coeffs
     # The field kind and the covariance mode are fixed for the run.
     field_velocity = field_evaluator(field)
     mean_jacobian = mean_jacobian_fn(field)
@@ -241,16 +243,14 @@ def make_velocity(spec: GuidanceSpec, field: VectorFieldSpec, dec: DecoderSpec,
         v_uncond = field_velocity(z, t)
         c = mean_jacobian(t)
         g = t / (1.0 - t)
-        d = sy2 + (cov(t) * kappa2) * lam
-        # w = (y_hat - kappa * A_hat z_bar) / d, in place on a fresh array.
+        d = sy2 + cov(t) * lam
+        # w = (y_hat - B_hat z_bar) / d, in place on a fresh array.
         w = apply_coeffs(z - t * v_uncond)
-        if kappa != 1.0:
-            w *= kappa
         np.subtract(y_hat, w, out=w)
         w /= d
         if passes > 1:
-            mu = (g * t * c * kappa2) * lam / d
+            mu = (g * t * c) * lam / d
             w *= (1.0 - (-mu) ** passes) / (1.0 + mu)
-        return v_uncond - (g * c * kappa) * adjoint_coeffs(w)
+        return v_uncond - (g * c) * adjoint_coeffs(w)
 
     return velocity

@@ -66,10 +66,6 @@ class Kernel:
     def center(self) -> tuple[int, int]:
         return self.taps.shape[0] // 2, self.taps.shape[1] // 2
 
-    @property
-    def tap_sum(self) -> float:
-        return float(self.taps.sum())
-
 
 def embed_kernel(kernel: Kernel, shape: tuple[int, int]) -> np.ndarray:
     """Place the kernel on a field-sized grid with its anchor at (0, 0).
@@ -117,10 +113,6 @@ class MaskOperator:
         self._idx = np.flatnonzero(mask.ravel())
         self.input_shape = mask.shape
         self.output_shape = (int(self._idx.size),)
-
-    @property
-    def observed_count(self) -> int:
-        return int(self._idx.size)
 
     def apply(self, x) -> np.ndarray:
         x = _check_shape("mask apply", x, self.input_shape)
@@ -275,7 +267,8 @@ class ConvDownsampleOperator:
 
 
 class DenseOperator:
-    """Explicit matrix acting on flattened input.
+    """Explicit matrix acting on flattened input, with flattened output
+    unless an output shape is given.
 
     Its basis is the eigenvectors Q of A A^T, cached on first use together
     with Q^T A and A^T Q.
@@ -283,28 +276,28 @@ class DenseOperator:
 
     kind = "dense"
 
-    def __init__(self, matrix, input_shape: tuple | None = None):
+    def __init__(self, matrix, input_shape: tuple | None = None,
+                 output_shape: tuple | None = None):
         matrix = as_field(matrix)
         if matrix.ndim != 2:
             raise ShapeMismatchError("dense operator needs a 2-D matrix")
         m, n = matrix.shape
-        if input_shape is None:
-            input_shape = (n,)
-        if int(np.prod(input_shape)) != n:
-            raise ShapeMismatchError(
-                f"input shape {input_shape} does not flatten to {n}"
-            )
+        input_shape = (n,) if input_shape is None else tuple(input_shape)
+        output_shape = (m,) if output_shape is None else tuple(output_shape)
+        for name, shape, size in (("input", input_shape, n), ("output", output_shape, m)):
+            if int(np.prod(shape)) != size:
+                raise ShapeMismatchError(f"{name} shape {shape} does not flatten to {size}")
         self.matrix = matrix
-        self.input_shape = tuple(input_shape)
-        self.output_shape = (m,)
+        self.input_shape = input_shape
+        self.output_shape = output_shape
 
     def apply(self, x) -> np.ndarray:
         x = _check_shape("dense apply", x, self.input_shape)
-        return self.matrix @ x.ravel()
+        return (self.matrix @ x.ravel()).reshape(self.output_shape)
 
     def adjoint(self, y) -> np.ndarray:
         y = _check_shape("dense adjoint", y, self.output_shape)
-        return (self.matrix.T @ y).reshape(self.input_shape)
+        return (self.matrix.T @ y.ravel()).reshape(self.input_shape)
 
     @cached_property
     def _basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -44,10 +44,6 @@ class LinearGaussianModel:
         if self.decoder is None:
             object.__setattr__(self, "decoder", IdentityDecoder(self.operator.input_shape))
 
-    @property
-    def latent_dim(self) -> int:
-        return int(np.prod(self.decoder.latent_shape))
-
     def decoder_matrix(self) -> np.ndarray:
         dec = self.decoder
         if isinstance(dec, IdentityDecoder):
@@ -250,6 +246,7 @@ def run_oracle_checks(seed: int = 0) -> list[OracleCheck]:
         corrected_velocity,
         inner_vector,
         likelihood_gradient,
+        make_velocity,
     )
     from .operators import CircConvOperator, build_gaussian_kernel
 
@@ -340,6 +337,19 @@ def run_oracle_checks(seed: int = 0) -> list[OracleCheck]:
         want = conditional_score_velocity(model1, y, z, t)
         worst = max(worst, float(np.max(np.abs(got - want))))
     checks.append(_check("conditional-velocity", worst, 1e-10))
+
+    # The same through a decoder, folded into B = A o decode: an
+    # anisotropic matrix decoder and a scale decoder, reference and fused.
+    worst = 0.0
+    for dec in (LinearMatrixDecoder(rng.normal(size=(8, 6))), DiagonalScaleDecoder(1.7, (8,))):
+        model_d = LinearGaussianModel(a, prior_std=1.0, sigma_y=0.2, decoder=dec)
+        z_d = rng.normal(size=dec.latent_shape)
+        fused = make_velocity(spec1, field1, dec, a, y)
+        for t in (0.2, 0.5, 0.8):
+            want = conditional_score_velocity(model_d, y, z_d, t)
+            for got in (corrected_velocity(spec1, field1, dec, a, y, z_d, t), fused(z_d, t)):
+                worst = max(worst, float(np.max(np.abs(got - want))))
+    checks.append(_check("decoder-velocity", worst, 1e-10))
 
     # decode() consistency so the checks above cover the decoder path too.
     dec = model.decoder

@@ -234,7 +234,7 @@ def integrate(config: SamplerConfig, field: VectorFieldSpec, dec: DecoderSpec,
     t_max = schedule.t_max
 
     def f(state, t):
-        # schedule.clamp, inlined: this runs once per NFE.
+        # Clamp t into the schedule's window, counting clamp events.
         traj.nfe += 1
         if t < t_min:
             traj.clamp_events += 1

@@ -1,9 +1,9 @@
-"""The straight-line interpolation path and its guidance coefficient.
+"""The straight-line interpolation path and its clamp window.
 
 The package works on the path z_t = (1 - t) z0 + t z1: coefficient 1 - t
-on the data side, t on the noise side. Time is clamped to [t_min, t_max]
-wherever a formula divides by t or 1 - t; the clamp window defaults to
-[1e-3, 1 - 1e-3].
+on the data side, t on the noise side. The sampler clamps time to
+[t_min, t_max] before every velocity evaluation, since the formulas
+divide by t or 1 - t; the window defaults to [1e-3, 1 - 1e-3].
 """
 
 from __future__ import annotations
@@ -38,19 +38,6 @@ class PathSchedule:
             raise ValueError(
                 f"need 0 < t_min < t_max < 1, got [{self.t_min}, {self.t_max}]"
             )
-
-    def clamp(self, t: float) -> float:
-        """Clamp t into [t_min, t_max]. Callers count clamp events."""
-        return min(max(float(t), self.t_min), self.t_max)
-
-    def guidance_coefficient(self, t: float) -> float:
-        """Strength t/(1-t) of the measurement correction, at clamped t.
-
-        Strictly increasing on the clamped window; finite at both ends
-        because the clamp keeps 1 - t away from zero.
-        """
-        tc = self.clamp(t)
-        return tc / (1.0 - tc)
 
     def interpolate(self, z0, z1, t: float):
         """(1-t) z0 + t z1. Exact at both endpoints, no clamping."""

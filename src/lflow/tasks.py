@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import config_hash
 from .decoders import DiagonalScaleDecoder, IdentityDecoder, decode
-from .errors import ConfigError, LflowError
+from .errors import ConfigError, LflowError, ZeroScaleError
 from .fields import AnalyticGaussianField, COV_MODE_KINDS, CovarianceMode
 from .guidance import ClosedFormSolver, ConjugateGradientSolver, GuidanceSpec
 from .metrics import mse as mse_metric, psnr, ssim
@@ -278,13 +278,15 @@ def task_config_from_sections(sections: dict[str, dict]) -> TaskConfig:
         cfg = replace(default_task_config(kind), **values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    for section, build in (("task", cfg.build_operator),
-                           ("guidance", cfg.build_guidance),
-                           ("sampler", cfg.build_sampler)):
+    # The decoder's only rejectable value is its scale.
+    for where, build in (("[task]", cfg.build_operator),
+                         (f"{_CONFIG_KEY['decoder_scale']}:", cfg.build_decoder),
+                         ("[guidance]", cfg.build_guidance),
+                         ("[sampler]", cfg.build_sampler)):
         try:
             build()
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {exc}") from exc
+        except (ValueError, ZeroScaleError) as exc:
+            raise ConfigError(f"{where} {exc}") from exc
     return cfg
 
 

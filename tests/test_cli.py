@@ -39,7 +39,7 @@ def read_report_rows(path):
 def test_oracle_check_command(capsys):
     assert main(["oracle-check"]) == 0
     out = capsys.readouterr().out
-    assert "7/7 oracle checks passed" in out
+    assert "8/8 oracle checks passed" in out
     assert "FAIL" not in out
 
 
@@ -156,9 +156,15 @@ def test_unknown_config_key_exits_with_a_usage_error(tmp_path, capsys):
     ("[task]\nkind = motion-deblur\nkernel_length = 12\n", "[task] kernel_length"),
     ("[task]\nsize = 16\nsigma_y = 0\n[guidance]\ncov_mode = zero\nsolver = cg\n",
      "[task] sigma_y = 0 with [guidance] cov_mode = zero"),
+    ("[prior]\ndecoder_kind = scale\ndecoder_scale = nan\n", "[prior] decoder_scale"),
+    ("[prior]\ndecoder_kind = scale\ndecoder_scale = inf\n", "[prior] decoder_scale"),
+    ("[prior]\ndecoder_kind = scale\ndecoder_scale = 0\n", "[prior] decoder_scale"),
+    ("[prior]\nsigma_latr = nan\n", "[prior] sigma_latr"),
+    ("[task]\nsigma_y = nan\n", "[task] sigma_y"),
 ], ids=["k_steps", "box_size", "cov_mode", "box_size_key", "gaussian_kernel_size",
         "motion_kernel_size", "sr_factor", "sr_kernel_too_big", "kernel_length",
-        "singular_system"])
+        "singular_system", "scale_nan", "scale_inf", "scale_zero", "sigma_latr_nan",
+        "sigma_y_nan"])
 def test_bad_config_values_exit_with_a_usage_error(tmp_path, capsys, text, blamed):
     bad = tmp_path / "bad.cfg"
     bad.write_text(text)

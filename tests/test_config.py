@@ -123,6 +123,9 @@ def test_bad_scalar_values_are_errors():
         parse_config_text("[guidance]\nk_steps = 2.5\n")
     with pytest.raises(ConfigError, match="sigma_y"):
         parse_config_text("[task]\nsigma_y = none\n")
+    for raw in ("nan", "inf", "-Infinity"):
+        with pytest.raises(ConfigError, match=r"\[prior\] decoder_scale: must be finite"):
+            parse_config_text(f"[prior]\ndecoder_scale = {raw}\n")
 
 
 def test_dump_then_parse_recovers_every_value():

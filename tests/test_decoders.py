@@ -1,27 +1,25 @@
 """Tests for the latent-to-field decoders and their linear algebra.
 
-Covers exact decode/encode round trips, the jvp/vjp transpose pairing,
-finite-difference agreement for the Jacobian products, and the isotropy
-detection behind the scalar Gram factor.
+Covers exact decode/encode round trips, linearity, shape checks, and how
+`latent_operator` folds each decoder kind into the measurement map. The
+operator protocol of the folded maps is tested with the operators, and
+their guidance velocities against the oracle.
 """
 
 import numpy as np
 import pytest
 
-import lflow.decoders
 from lflow.decoders import (
     DiagonalScaleDecoder,
     IdentityDecoder,
     LinearMatrixDecoder,
     decode,
     encode,
-    gram_scalar,
-    jvp,
-    vjp,
+    latent_operator,
 )
 from lflow.errors import ShapeMismatchError, ZeroScaleError
 from lflow.numerics import make_rng
-from lflow.oracle import finite_diff_jacobian
+from lflow.operators import CircConvOperator, DenseOperator, build_gaussian_kernel
 
 
 def make_decoders(seed=0):
@@ -95,39 +93,6 @@ def test_scale_decoder_rejects_numerically_zero_scale():
         DiagonalScaleDecoder(1e-13, (2,))
 
 
-@pytest.mark.parametrize("idx", range(3))
-def test_jvp_vjp_transpose_pairing(idx):
-    dec = make_decoders()[idx]
-    rng = make_rng(30 + idx)
-    for _ in range(5):
-        u = rng.normal(size=dec.latent_shape)
-        w = rng.normal(size=dec.field_shape)
-        lhs = float(np.vdot(jvp(dec, u), w))
-        rhs = float(np.vdot(u, vjp(dec, w)))
-        assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
-
-
-def test_identity_jvp_norm_preservation():
-    dec = IdentityDecoder((4,))
-    u = make_rng(3).normal(size=4)
-    assert np.linalg.norm(jvp(dec, u)) == pytest.approx(np.linalg.norm(u), abs=1e-12)
-
-
-def test_unit_scale_jvp_norm_preservation():
-    dec = DiagonalScaleDecoder(1.0, (4,))
-    u = make_rng(4).normal(size=4)
-    assert np.linalg.norm(jvp(dec, u)) == pytest.approx(np.linalg.norm(u), abs=1e-12)
-
-
-@pytest.mark.parametrize("idx", range(3))
-def test_jvp_matches_finite_differences_of_decode(idx):
-    dec = make_decoders()[idx]
-    at = make_rng(40 + idx).normal(size=dec.latent_shape)
-    jac = finite_diff_jacobian(lambda z: decode(dec, z), at, step=1e-5)
-    u = make_rng(50 + idx).normal(size=dec.latent_shape)
-    np.testing.assert_allclose(jac @ u.ravel(), jvp(dec, u).ravel(), atol=1e-6)
-
-
 def test_shape_validation_on_all_entry_points():
     dec = DiagonalScaleDecoder(2.0, (3,))
     with pytest.raises(ShapeMismatchError):
@@ -135,31 +100,22 @@ def test_shape_validation_on_all_entry_points():
     with pytest.raises(ShapeMismatchError):
         encode(dec, np.zeros((3, 1)))
     with pytest.raises(ShapeMismatchError):
-        jvp(dec, np.zeros(2))
-    with pytest.raises(ShapeMismatchError):
-        vjp(dec, np.zeros(5))
+        latent_operator(DenseOperator(np.eye(4)), dec)
 
 
-def test_gram_scalar_for_the_exact_cases():
-    assert gram_scalar(IdentityDecoder((3,))) == 1.0
-    assert gram_scalar(DiagonalScaleDecoder(-2.0, (3,))) == pytest.approx(4.0, abs=1e-15)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_scale_decoder_rejects_a_non_finite_scale(value):
+    with pytest.raises(ValueError, match="not finite"):
+        DiagonalScaleDecoder(value, (2,))
 
 
-def test_gram_scalar_detects_isotropic_matrix_decoders():
-    # Orthonormal rows scaled by 3: M M^T = 9 I exactly (up to rounding).
-    q, _ = np.linalg.qr(make_rng(6).normal(size=(5, 3)))
-    dec = LinearMatrixDecoder(3.0 * q.T)
-    assert gram_scalar(dec) == pytest.approx(9.0, rel=1e-9)
-
-
-def test_gram_scalar_warns_once_for_anisotropic_decoders(monkeypatch):
-    monkeypatch.setattr(lflow.decoders, "_warned_anisotropic", False)
-    dec = LinearMatrixDecoder(make_rng(7).normal(size=(5, 3)))
-    with pytest.warns(UserWarning):
-        assert gram_scalar(dec) == 1.0
-    # The second call stays silent.
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert gram_scalar(dec) == 1.0
+def test_latent_operator_composes_the_operator_with_decode():
+    op = CircConvOperator(build_gaussian_kernel(3, 1.0), (4, 4))
+    assert latent_operator(op, IdentityDecoder((4, 4))) is op
+    rng = make_rng(8)
+    for dec in (DiagonalScaleDecoder(-1.5, (4, 4)),
+                LinearMatrixDecoder(rng.normal(size=(16, 5)), field_shape=(4, 4))):
+        b = latent_operator(op, dec)
+        assert b.input_shape == dec.latent_shape and b.output_shape == op.output_shape
+        z = rng.normal(size=dec.latent_shape)
+        np.testing.assert_allclose(b.apply(z), op.apply(decode(dec, z)), atol=1e-12)

@@ -1,15 +1,17 @@
-"""Tests for the measurement operators, kernels, masks, and grid files.
+"""Tests for the measurement operators, kernels and masks.
 
 Adjointness and dense materialization are the workhorses: every operator
-kind is checked against the inner-product identity and against its
-brute-force matrix, and the convolution path is additionally compared to
-a literal space-domain double sum so the spectral route never validates
-itself.
+kind, and every latent measurement map B = A o decode that
+`latent_operator` builds from one, is checked against the inner-product
+identity and against its brute-force matrix, and the convolution path is
+additionally compared to a literal space-domain double sum so the
+spectral route never validates itself.
 """
 
 import numpy as np
 import pytest
 
+from lflow.decoders import DiagonalScaleDecoder, LinearMatrixDecoder, latent_operator
 from lflow.errors import DimensionGuardError, ShapeMismatchError
 from lflow.numerics import dft2_inverse, make_rng
 from lflow.operators import (
@@ -34,16 +36,30 @@ def delta_kernel() -> Kernel:
     return Kernel(np.array([[1.0]]))
 
 
+def latent_operators(ops, rng, matrix_base):
+    """A scale decoder over each operator, then a matrix decoder over
+    matrix_base, folded in by latent_operator."""
+    scaled = [latent_operator(op, DiagonalScaleDecoder(-1.3, op.input_shape)) for op in ops]
+    field_shape = matrix_base.input_shape
+    matrix = rng.normal(size=(field_shape[0] * field_shape[1], 7))
+    dec = LinearMatrixDecoder(matrix, field_shape=field_shape)
+    return scaled + [latent_operator(matrix_base, dec)]
+
+
 def make_operators(shape=(8, 8), seed=0):
     rng = make_rng(seed)
     mask = (rng.uniform(size=shape) < 0.6).astype(np.float64)
     mask[0, 0] = 1.0
-    return [
+    ops = [
         MaskOperator(mask),
         CircConvOperator(build_gaussian_kernel(3, 1.0), shape),
         ConvDownsampleOperator(build_gaussian_kernel(3, 1.0), shape, 2),
         DenseOperator(rng.normal(size=(5, shape[0] * shape[1])), input_shape=shape),
     ]
+    return ops + latent_operators(ops, rng, ops[2])
+
+
+OPERATOR_COUNT = len(make_operators())
 
 
 def brute_force_circular_convolution(taps, x):
@@ -61,7 +77,7 @@ def brute_force_circular_convolution(taps, x):
     return out
 
 
-@pytest.mark.parametrize("idx", range(4))
+@pytest.mark.parametrize("idx", range(OPERATOR_COUNT))
 def test_adjoint_inner_product_identity(idx):
     op = make_operators()[idx]
     rng = make_rng(100 + idx)
@@ -73,7 +89,7 @@ def test_adjoint_inner_product_identity(idx):
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
-@pytest.mark.parametrize("idx", range(4))
+@pytest.mark.parametrize("idx", range(OPERATOR_COUNT))
 def test_dense_materialization_agrees_with_apply_and_adjoint(idx):
     op = make_operators()[idx]
     dense = dense_materialize(op)
@@ -91,16 +107,19 @@ def test_dense_materialization_agrees_with_apply_and_adjoint(idx):
 
 
 def basis_operators():
-    """Every operator kind at even and odd shapes.
+    """Every operator kind at even and odd shapes, then latent maps.
 
     The conv-downsamplers include odd low-resolution widths (21 at
-    (42, 42)/2, 15 at (45, 45)/3, 11 at (21, 33)/3) and factor 1.
+    (42, 42)/2, 15 at (45, 45)/3, 11 at (21, 33)/3) and factor 1. A scale
+    decoder is folded into one operator of each kind (the conv-downsampler
+    with the odd low-resolution width), and a matrix decoder into the
+    (45, 45)/3 conv-downsampler.
     """
     rng = make_rng(7)
     kernel = build_gaussian_kernel(5, 1.2)
     motion = build_motion_kernel(5, 0.4, 4)
     mask = (rng.uniform(size=(9, 7)) < 0.5).astype(np.float64)
-    return [
+    ops = [
         MaskOperator(mask),
         CircConvOperator(kernel, (16, 16)),
         CircConvOperator(motion, (9, 7)),
@@ -114,6 +133,7 @@ def basis_operators():
         DenseOperator(rng.normal(size=(6, 20)), input_shape=(4, 5)),
         DenseOperator(rng.normal(size=(12, 12))),
     ]
+    return ops + latent_operators([ops[0], ops[2], ops[4], ops[10]], rng, ops[5])
 
 
 def assert_rel_close(actual, expected, rtol=1e-12):
@@ -137,12 +157,12 @@ def test_basis_members_diagonalize_the_gram_operator(op):
     gram = op.gram(y)
     assert_rel_close(gram, op.apply(op.adjoint(y)))
     assert gram is not y and not np.shares_memory(gram, y)
-    if op.kind in ("circconv", "convdown"):
+    if op.kind.removeprefix("scaled-") in ("circconv", "convdown"):
         assert np.shape(c) == (op.output_shape[0], op.output_shape[1] // 2 + 1)
         assert_rel_close(dft2_inverse(op.apply_coeffs(x), op.output_shape), op.apply(x))
 
 
-@pytest.mark.parametrize("idx", range(4))
+@pytest.mark.parametrize("idx", range(OPERATOR_COUNT))
 def test_gram_rejects_a_wrongly_shaped_measurement(idx):
     op = make_operators(shape=(8, 6))[idx]
     with pytest.raises(ShapeMismatchError):
@@ -237,7 +257,7 @@ def test_dense_materialize_guard():
 def test_gaussian_kernel_normalization_and_shape():
     kernel = build_gaussian_kernel(9, 1.5)
     assert kernel.taps.shape == (9, 9)
-    assert kernel.tap_sum == pytest.approx(1.0, abs=1e-12)
+    assert kernel.taps.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gaussian_kernel_size_one_is_delta():
@@ -276,7 +296,7 @@ def test_motion_kernel_horizontal_line():
 
 def test_motion_kernel_vertical_line():
     kernel = build_motion_kernel(5, np.pi / 2, 3)
-    assert kernel.tap_sum == pytest.approx(1.0, abs=1e-12)
+    assert kernel.taps.sum() == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(kernel.taps[1:4, 2], np.full(3, 1.0 / 3.0), atol=1e-12)
 
 
@@ -297,7 +317,7 @@ def test_bicubic_kernel_degenerates_to_delta_at_factor_one():
 def test_bicubic_kernel_shape_and_normalization():
     kernel = build_bicubic_kernel(2)
     assert kernel.taps.shape == (7, 7)
-    assert kernel.tap_sum == pytest.approx(1.0, abs=1e-12)
+    assert kernel.taps.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_box_mask_degenerate_boxes():

@@ -1,4 +1,4 @@
-"""Tests for the straight-line path coefficients and guidance strength."""
+"""Tests for the straight-line path and its clamp window."""
 
 import numpy as np
 import pytest
@@ -26,30 +26,6 @@ def test_default_clamp_window():
     schedule = PathSchedule()
     assert schedule.t_min == T_MIN_DEFAULT
     assert schedule.t_max == T_MAX_DEFAULT
-
-
-def test_clamp_pins_both_ends(schedule):
-    assert schedule.clamp(0.0) == schedule.t_min
-    assert schedule.clamp(1.0) == schedule.t_max
-    assert schedule.clamp(0.4) == 0.4
-
-
-def test_guidance_coefficient_values(schedule):
-    assert schedule.guidance_coefficient(1e-3) == pytest.approx(1e-3 / (1 - 1e-3), rel=1e-12)
-    assert schedule.guidance_coefficient(0.5) == pytest.approx(1.0, abs=1e-15)
-    assert schedule.guidance_coefficient(0.8) == pytest.approx(4.0, rel=1e-12)
-
-
-def test_guidance_coefficient_clamps_out_of_window_times(schedule):
-    top = schedule.guidance_coefficient(schedule.t_max)
-    assert schedule.guidance_coefficient(0.99999) == top
-    assert schedule.guidance_coefficient(1.0) == top
-
-
-def test_guidance_coefficient_is_strictly_increasing(schedule):
-    grid = np.linspace(schedule.t_min, schedule.t_max, 200)
-    values = [schedule.guidance_coefficient(float(t)) for t in grid]
-    assert all(b > a for a, b in zip(values, values[1:]))
 
 
 def test_interpolate_endpoints_are_exact_copies(schedule):

@@ -121,7 +121,7 @@ def test_operator_construction_per_kind():
     assert isinstance(op, MaskOperator)
     assert mask is not None
     assert int((mask == 0).sum()) == 32 * 32
-    assert op.observed_count == 64 * 64 - 32 * 32
+    assert op.output_shape == (64 * 64 - 32 * 32,)
 
 
 def test_synthetic_card_is_deterministic_and_in_range():
