@@ -20,7 +20,11 @@ sigma_y^2 + r2 lambda, mode by mode; the conjugate-gradient solver is the
 iterative reference. It solves S u = residual on the measurement grid
 with the matvec sigma_y^2 u + r2 B.gram(u), where `gram` is the
 operator's own B B^T product (one transform pair for the convolution
-operators), and applies B^T once to the solution.
+operators), and applies B^T once to the solution. Buffer discipline: the
+matvec scales the fresh array gram returns and adds sigma_y^2 u to it in
+place; `conjugate_gradient` updates x, r and p in place through one
+scratch buffer per solve and never writes rhs or an array that a matvec
+returned (a caller's matvec may hand back a cached buffer or its input).
 
 In the linear-Gaussian setting (analytic field, linear decoder) nothing
 here is approximate: the gradient equals the gradient of the explicit
@@ -30,6 +34,7 @@ conditional flow velocity, which the oracle checks to 1e-10.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,36 +110,39 @@ def conjugate_gradient(matvec, rhs: np.ndarray, tol: float = CG_TOL_DEFAULT,
     """Solve M x = rhs for symmetric positive definite M.
 
     Zero initial guess; stops when the residual norm falls below
-    tol * ||rhs||. The iterates are updated in place; rhs is not
-    modified. Raises CgConvergenceError when a search direction p has
-    p^T M p not finite and positive (M is not positive definite, e.g. a
-    singular S) or when max_iter steps were not enough, which in this
-    package usually means S lost definiteness.
+    tol * ||rhs||. The iterates are updated in place through one scratch
+    buffer per solve; neither rhs nor any array matvec returns is
+    written, since a matvec may return a cached buffer or its input.
+    Raises CgConvergenceError when a search direction p has p^T M p not
+    finite and positive (M is not positive definite, e.g. a singular S)
+    or when max_iter steps were not enough, which in this package usually
+    means S lost definiteness.
     """
     rhs = as_field(rhs)
-    rhs_norm = float(np.sqrt(np.vdot(rhs, rhs).real))
+    rs = float(np.vdot(rhs, rhs).real)
+    rhs_norm = math.sqrt(rs)
     x = np.zeros_like(rhs)
     if rhs_norm == 0.0:
         return x
     r = rhs.copy()
     p = r.copy()
-    rs = float(np.vdot(r, r).real)
+    scratch = np.empty_like(rhs)
     for k in range(max_iter):
         mp = matvec(p)
         curvature = float(np.vdot(p, mp).real)
-        if not (np.isfinite(curvature) and curvature > 0.0):
-            raise CgConvergenceError(iterations=k, residual_norm=float(np.sqrt(rs)),
+        if not (math.isfinite(curvature) and curvature > 0.0):
+            raise CgConvergenceError(iterations=k, residual_norm=math.sqrt(rs),
                                      reason=f"breakdown (p^T M p = {curvature:.3e})")
         alpha = rs / curvature
-        x += alpha * p
-        r -= alpha * mp
+        x += np.multiply(p, alpha, out=scratch)
+        r -= np.multiply(mp, alpha, out=scratch)
         rs_next = float(np.vdot(r, r).real)
-        if np.sqrt(rs_next) <= tol * rhs_norm:
+        if math.sqrt(rs_next) <= tol * rhs_norm:
             return x
         p *= rs_next / rs
         p += r
         rs = rs_next
-    raise CgConvergenceError(iterations=max_iter, residual_norm=float(np.sqrt(rs)))
+    raise CgConvergenceError(iterations=max_iter, residual_norm=math.sqrt(rs))
 
 
 def _inner_vector_cg(op, residual, sigma_y: float, r2: float,
@@ -143,7 +151,11 @@ def _inner_vector_cg(op, residual, sigma_y: float, r2: float,
     gram = op.gram
 
     def matvec(u):
-        return sy2 * u + r2 * gram(u)
+        # gram returns a fresh array, so it can take the sum in place.
+        out = gram(u)
+        out *= r2
+        out += sy2 * u
+        return out
 
     u = conjugate_gradient(matvec, residual, tol=tol, max_iter=max_iter)
     return op.adjoint(u)

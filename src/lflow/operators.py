@@ -18,11 +18,16 @@ a measurement in it, `apply_coeffs(x)` gives the coefficients of A x, and
 `gram(u)` returns A A^T u on the measurement grid without leaving it:
 the convolution operators multiply u's coefficients by `gram_eigenvalues`
 (one forward and one inverse transform on the measurement grid), the mask
-copies u, and a dense operator applies A^T then A.
+copies u, and a dense operator applies A^T then A. Its result is always a
+fresh array, which the CG matvec in `lflow.guidance` scales in place.
 The two convolution operators use the real DFT (see `lflow.numerics`):
 their coefficients and `gram_eigenvalues` are half-spectra of the
 measurement grid, (h, w//2 + 1) for an (h, w) grid; the other half follows
-by Hermitian symmetry.
+by Hermitian symmetry. They cache conj(k_hat) next to k_hat, so the
+adjoint does not conjugate per call, and `gram` scales the spectrum it
+has just computed in place. Only that real-by-complex scaling is done in
+place: complex-by-complex products keep the form `khat * spec`, because
+writing one in place or swapping its operands can change the last bit.
 
 `lift(y)` maps a measurement back onto the input grid to seed a sampler
 run: masks zero-fill, shape-preserving operators pass y through,
@@ -43,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionGuardError, ShapeMismatchError
-from .numerics import RealField, as_field, dft2_forward, dft2_inverse, make_rng
+from .numerics import as_field, dft2_forward, dft2_inverse, make_rng
 
 DENSE_MATERIALIZE_LIMIT = 4096
 
@@ -154,6 +159,7 @@ class CircConvOperator:
         self.input_shape = tuple(shape)
         self.output_shape = tuple(shape)
         self.khat = dft2_forward(embed_kernel(kernel, self.input_shape))
+        self._khat_conj = np.conj(self.khat)
         self.gram_eigenvalues = np.abs(self.khat) ** 2
 
     def coeffs(self, y) -> np.ndarray:
@@ -164,7 +170,7 @@ class CircConvOperator:
         return self.khat * dft2_forward(x)
 
     def adjoint_coeffs(self, w) -> np.ndarray:
-        return dft2_inverse(np.conj(self.khat) * w, self.input_shape)
+        return dft2_inverse(self._khat_conj * w, self.input_shape)
 
     def apply(self, x) -> np.ndarray:
         return dft2_inverse(self.apply_coeffs(x), self.output_shape)
@@ -173,7 +179,9 @@ class CircConvOperator:
         return self.adjoint_coeffs(self.coeffs(y))
 
     def gram(self, u) -> np.ndarray:
-        return dft2_inverse(self.gram_eigenvalues * self.coeffs(u), self.output_shape)
+        spec = self.coeffs(u)
+        spec *= self.gram_eigenvalues
+        return dft2_inverse(spec, self.output_shape)
 
     def lift(self, y) -> np.ndarray:
         return as_field(y)
@@ -227,6 +235,7 @@ class ConvDownsampleOperator:
         self._tile_rows = (-np.arange(m1)) % m1
         self._tile_cols = np.arange(w // 2 + 1) % m2
         self.khat = dft2_forward(embed_kernel(kernel, self.input_shape))
+        self._khat_conj = np.conj(self.khat)
         self.gram_eigenvalues = self._fold(np.abs(self.khat) ** 2)
 
     def _fold(self, half: np.ndarray) -> np.ndarray:
@@ -249,7 +258,7 @@ class ConvDownsampleOperator:
         return self._fold(self.khat * dft2_forward(x))
 
     def adjoint_coeffs(self, w) -> np.ndarray:
-        return dft2_inverse(np.conj(self.khat) * self._tile(w), self.input_shape)
+        return dft2_inverse(self._khat_conj * self._tile(w), self.input_shape)
 
     def apply(self, x) -> np.ndarray:
         x = _check_shape("convdown apply", x, self.input_shape)
@@ -260,7 +269,9 @@ class ConvDownsampleOperator:
         return self.adjoint_coeffs(self.coeffs(y))
 
     def gram(self, u) -> np.ndarray:
-        return dft2_inverse(self.gram_eigenvalues * self.coeffs(u), self.output_shape)
+        spec = self.coeffs(u)
+        spec *= self.gram_eigenvalues
+        return dft2_inverse(spec, self.output_shape)
 
     def lift(self, y) -> np.ndarray:
         return float(self.factor**2) * self.adjoint(y)

@@ -16,7 +16,7 @@ one), so the centering is exact, not approximate.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields as dataclass_fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

@@ -28,7 +28,6 @@ from lflow.fields import (
     posterior_mean,
 )
 from lflow.guidance import (
-    ClosedFormSolver,
     ConjugateGradientSolver,
     GuidanceSpec,
     conjugate_gradient,
@@ -112,6 +111,43 @@ def test_conjugate_gradient_leaves_rhs_unmodified():
     got = conjugate_gradient(lambda v: (spd @ v.ravel()).reshape(v.shape), rhs, tol=1e-14)
     np.testing.assert_array_equal(rhs, before)
     assert not np.shares_memory(got, rhs)
+
+
+def test_conjugate_gradient_never_writes_a_returned_buffer():
+    # The matvec hands back one cached buffer on every call; CG may read
+    # it but must not write it, nor rhs.
+    rng = make_rng(15)
+    m = rng.normal(size=(16, 16))
+    spd = m @ m.T + 16.0 * np.eye(16)
+    rhs = rng.normal(size=(4, 4))
+    before = rhs.copy()
+    cached = np.empty((4, 4))
+    returned = []
+
+    def matvec(v):
+        if returned:
+            np.testing.assert_array_equal(cached, returned[-1])
+        cached[...] = (spd @ v.ravel()).reshape(v.shape)
+        returned.append(cached.copy())
+        return cached
+
+    got = conjugate_gradient(matvec, rhs, tol=1e-14)
+    assert len(returned) > 1
+    np.testing.assert_array_equal(cached, returned[-1])
+    np.testing.assert_array_equal(rhs, before)
+    np.testing.assert_allclose(got.ravel(), np.linalg.solve(spd, rhs.ravel()), atol=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["mask", "circconv", "convdown", "dense"])
+def test_cg_matvec_equals_the_out_of_place_formula_bit_for_bit(kind):
+    # The matvec sums in place on gram's fresh output; the bits must be
+    # those of sigma_y^2 u + r2 gram(u) formed out of place.
+    op = make_operator(kind, make_rng(16))
+    residual = make_rng(17).normal(size=op.output_shape)
+    sy2, r2 = 0.1 * 0.1, 0.5
+    u = conjugate_gradient(lambda v: sy2 * v + r2 * op.gram(v), residual, tol=1e-12)
+    got = inner_vector(op, residual, 0.1, r2, solver=ConjugateGradientSolver(tol=1e-12))
+    assert np.array_equal(got, op.adjoint(u))
 
 
 @pytest.mark.parametrize("matvec", [

@@ -1,0 +1,74 @@
+"""Source hygiene checks that need no linter: every imported name is used.
+
+Each module of the package and of the test suite is parsed with `ast`. A
+name bound by an import statement (anywhere in the module) must be read
+somewhere in it: as a bare name, as the root of an attribute chain, or
+in `__all__`. `from __future__` imports and the package's `__init__.py`
+(whose imports are re-exports) are skipped.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+CHECKED = sorted(
+    p for pattern in ("src/lflow/*.py", "tests/*.py")
+    for p in ROOT.glob(pattern) if p.name != "__init__.py"
+)
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each import -> line of the import."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound.setdefault(name, node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    bound.setdefault(alias.asname or alias.name, node.lineno)
+    return bound
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                and isinstance(node.value, (ast.List, ast.Tuple))):
+            used.update(e.value for e in node.value.elts if isinstance(e, ast.Constant))
+    return used
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    tree = ast.parse(source)
+    used = _used_names(tree)
+    return sorted((line, name) for name, line in _imported_names(tree).items()
+                  if name not in used)
+
+
+def test_the_checker_flags_only_unread_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from typing import Any, Callable as Fn\n"
+        "import json\n"
+        "__all__ = ['json']\n"
+        "def f(x: Fn):\n"
+        "    import sys\n"
+        "    return np.zeros(os.path.sep)\n"
+    )
+    assert unused_imports(source) == [(4, "Any"), (8, "sys")]
+
+
+@pytest.mark.parametrize("path", CHECKED, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    unused = unused_imports(path.read_text(encoding="utf-8"))
+    assert not unused, ", ".join(f"line {line}: {name}" for line, name in unused)

@@ -6,6 +6,8 @@ and Parseval identities that any correct convention must satisfy. Spectra
 are half-spectra: an (h, w) field has (h, w//2 + 1) coefficients.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -129,6 +131,25 @@ def test_parseval_under_the_documented_convention(h, w, seed):
     lhs = float(np.sum(x * x)) * (h * w)
     rhs = float(np.sum(weight * np.abs(dft2_forward(x)) ** 2))
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (63, 65), (45, 42), (7, 9), (1, 8), (1, 7),
+                                   (8, 1), (7, 1), (1, 1)])
+def test_transforms_equal_numpys_2d_real_transforms_bit_for_bit(shape):
+    rng = make_rng(11)
+    x = rng.normal(size=shape)
+    assert np.array_equal(dft2_forward(x), np.fft.rfft2(x))
+    spec = np.fft.rfft2(x) * rng.normal(size=(shape[0], shape[1] // 2 + 1))
+    assert np.array_equal(dft2_inverse(spec, shape), np.fft.irfft2(spec, s=shape))
+
+
+def test_forward_dft_of_a_huge_finite_field_does_not_warn():
+    # The finiteness scan must not square the input: 1e200 squared
+    # overflows, and the suite turns that RuntimeWarning into an error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = dft2_forward(np.full((4, 4), 1e200))
+    assert abs(spec[0, 0] - 16e200) <= 1e-12 * 16e200
 
 
 def test_forward_dft_rejects_non_finite_input():

@@ -13,7 +13,7 @@ import pytest
 
 from lflow.decoders import DiagonalScaleDecoder, LinearMatrixDecoder, latent_operator
 from lflow.errors import DimensionGuardError, ShapeMismatchError
-from lflow.numerics import dft2_inverse, make_rng
+from lflow.numerics import dft2_forward, dft2_inverse, make_rng
 from lflow.operators import (
     DENSE_MATERIALIZE_LIMIT,
     CircConvOperator,
@@ -160,6 +160,38 @@ def test_basis_members_diagonalize_the_gram_operator(op):
     if op.kind.removeprefix("scaled-") in ("circconv", "convdown"):
         assert np.shape(c) == (op.output_shape[0], op.output_shape[1] // 2 + 1)
         assert_rel_close(dft2_inverse(op.apply_coeffs(x), op.output_shape), op.apply(x))
+
+
+@pytest.mark.parametrize("op", basis_operators(), ids=lambda op: f"{op.kind}{op.input_shape}")
+def test_gram_leaves_its_input_untouched(op):
+    u = make_rng(301).normal(size=op.output_shape)
+    before = u.copy()
+    op.gram(u)
+    np.testing.assert_array_equal(u, before)
+
+
+@pytest.mark.parametrize("side", [64, 256])
+def test_spectral_members_equal_their_out_of_place_formulas_bit_for_bit(side):
+    # Cached conj(k_hat) and the in-place gram scaling change no bit of
+    # the plain formulas.
+    rng = make_rng(side)
+    kernel = build_gaussian_kernel(7, 1.5)
+    for op in (CircConvOperator(kernel, (side, side)),
+               ConvDownsampleOperator(build_bicubic_kernel(2), (side, side), 2)):
+        x = rng.normal(size=op.input_shape)
+        u = rng.normal(size=op.output_shape)
+        w = op.coeffs(rng.normal(size=op.output_shape))
+        spread = op._tile if isinstance(op, ConvDownsampleOperator) else (lambda c: c)
+        fold = op._fold if isinstance(op, ConvDownsampleOperator) else (lambda c: c)
+        # Formed outside the asserts: the assert rewriting keeps the
+        # temporaries alive, which stops numpy from reusing them in place
+        # (for a large complex product that changes operand order and bits).
+        apply_ref = fold(op.khat * dft2_forward(x))
+        adjoint_ref = dft2_inverse(np.conj(op.khat) * spread(w), op.input_shape)
+        gram_ref = dft2_inverse(op.gram_eigenvalues * op.coeffs(u), op.output_shape)
+        assert np.array_equal(op.apply_coeffs(x), apply_ref)
+        assert np.array_equal(op.adjoint_coeffs(w), adjoint_ref)
+        assert np.array_equal(op.gram(u), gram_ref)
 
 
 @pytest.mark.parametrize("idx", range(OPERATOR_COUNT))

@@ -10,7 +10,8 @@ import pytest
 
 from lflow.decoders import DiagonalScaleDecoder
 from lflow.errors import DimensionGuardError
-from lflow.fields import CovarianceMode
+from lflow.fields import AnalyticGaussianField, CovarianceMode
+from lflow.guidance import GuidanceSpec, corrected_velocity
 from lflow.numerics import make_rng
 from lflow.operators import DenseOperator
 from lflow.oracle import (
@@ -224,3 +225,25 @@ def test_mc_moments_recover_a_known_gaussian():
 def test_mc_moments_rejects_degenerate_sample_sizes():
     with pytest.raises(ValueError):
         mc_moments(lambda seed: np.zeros(2), 1)
+
+
+def test_k_pass_velocity_is_exact_only_at_one_pass():
+    # The K-pass series converges to the per-mode multiplier 1/(1 + mu),
+    # not to the exact conditional velocity: K = 1 is exact, K = 2 is
+    # measurably off (about 3.5 at t = 0.5 on this problem).
+    rng = make_rng(11)
+    a = DenseOperator(rng.normal(size=(5, 8)))
+    model = LinearGaussianModel(a, prior_std=1.0, sigma_y=0.2)
+    field = AnalyticGaussianField(sigma_latr=1.0)
+    y = rng.normal(size=5)
+    z = rng.normal(size=8)
+
+    def deviation(k_steps, t):
+        spec = GuidanceSpec(cov_mode=CovarianceMode(kind="lflow"), sigma_y=0.2,
+                            k_steps=k_steps)
+        got = corrected_velocity(spec, field, model.decoder, a, y, z, t)
+        return float(np.max(np.abs(got - conditional_score_velocity(model, y, z, t))))
+
+    for t in (0.2, 0.5, 0.8):
+        assert deviation(1, t) < 1e-10
+    assert deviation(2, 0.5) > 0.5

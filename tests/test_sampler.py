@@ -27,7 +27,6 @@ from lflow.operators import (
     CircConvOperator,
     ConvDownsampleOperator,
     DenseOperator,
-    Kernel,
     MaskOperator,
     build_bicubic_kernel,
     build_gaussian_kernel,
