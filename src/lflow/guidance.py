@@ -26,6 +26,18 @@ place; `conjugate_gradient` updates x, r and p in place through one
 scratch buffer per solve and never writes rhs or an array that a matvec
 returned (a caller's matvec may hand back a cached buffer or its input).
 
+Warm start: consecutive velocity evaluations of one run solve almost the
+same system with almost the same right-hand side, so the velocity that
+`make_velocity` builds for the CG solver keeps one `CgSlot` per
+correction pass, created with the closure and so private to one run.
+Pass k starts its solve from the solution pass k stored at the previous
+evaluation and stores its new solution back. The stored array is the one
+`conjugate_gradient` returned, never written afterwards; the next solve
+copies it into a fresh iterate. The stopping rule stays tol * ||rhs||,
+so the warm start changes the work, not the accuracy guarantee. The
+public `corrected_velocity` and `inner_vector` without a slot are the
+stateless cold reference: every solve starts from zero.
+
 In the linear-Gaussian setting (analytic field, linear decoder) nothing
 here is approximate: the gradient equals the gradient of the explicit
 marginal log N(y; c B z, S), and the K = 1 velocity is the exact
@@ -106,17 +118,19 @@ class GuidanceSpec:
 
 
 def conjugate_gradient(matvec, rhs: np.ndarray, tol: float = CG_TOL_DEFAULT,
-                       max_iter: int = CG_MAX_ITER_DEFAULT) -> np.ndarray:
+                       max_iter: int = CG_MAX_ITER_DEFAULT, x0=None) -> np.ndarray:
     """Solve M x = rhs for symmetric positive definite M.
 
-    Zero initial guess; stops when the residual norm falls below
-    tol * ||rhs||. The iterates are updated in place through one scratch
-    buffer per solve; neither rhs nor any array matvec returns is
-    written, since a matvec may return a cached buffer or its input.
-    Raises CgConvergenceError when a search direction p has p^T M p not
-    finite and positive (M is not positive definite, e.g. a singular S)
-    or when max_iter steps were not enough, which in this package usually
-    means S lost definiteness.
+    Starts from zero, or from a copy of x0 when one is given: then the
+    first residual rhs - M x0 costs one extra matvec, and the solve
+    returns that copy if the residual already passes. Either way it stops
+    when the residual norm falls below tol * ||rhs||, so a good x0 saves
+    iterations without loosening the result. The iterates are updated in
+    place through one scratch buffer per solve; neither rhs, x0 nor any
+    array matvec returns is written, since a matvec may return a cached
+    buffer or its input. Raises CgConvergenceError when a search
+    direction p has p^T M p not finite and positive (M is not positive
+    definite, e.g. a singular S) or when max_iter steps were not enough.
     """
     rhs = as_field(rhs)
     rs = float(np.vdot(rhs, rhs).real)
@@ -124,7 +138,14 @@ def conjugate_gradient(matvec, rhs: np.ndarray, tol: float = CG_TOL_DEFAULT,
     x = np.zeros_like(rhs)
     if rhs_norm == 0.0:
         return x
-    r = rhs.copy()
+    if x0 is None:
+        r = rhs.copy()
+    else:
+        x[...] = x0
+        r = rhs - matvec(x)
+        rs = float(np.vdot(r, r).real)
+        if math.sqrt(rs) <= tol * rhs_norm:
+            return x
     p = r.copy()
     scratch = np.empty_like(rhs)
     for k in range(max_iter):
@@ -145,8 +166,22 @@ def conjugate_gradient(matvec, rhs: np.ndarray, tol: float = CG_TOL_DEFAULT,
     raise CgConvergenceError(iterations=max_iter, residual_norm=math.sqrt(rs))
 
 
+class CgSlot:
+    """One correction pass's last CG solution, the start of its next solve.
+
+    `u` is None until the first solve stores its solution. The stored
+    array is the one `conjugate_gradient` returned; nothing writes it
+    afterwards, and the next solve starts from a copy of it.
+    """
+
+    __slots__ = ("u",)
+
+    def __init__(self):
+        self.u = None
+
+
 def _inner_vector_cg(op, residual, sigma_y: float, r2: float,
-                     tol: float, max_iter: int) -> RealField:
+                     tol: float, max_iter: int, slot: CgSlot | None) -> RealField:
     sy2 = sigma_y * sigma_y
     gram = op.gram
 
@@ -157,28 +192,36 @@ def _inner_vector_cg(op, residual, sigma_y: float, r2: float,
         out += sy2 * u
         return out
 
-    u = conjugate_gradient(matvec, residual, tol=tol, max_iter=max_iter)
+    if slot is None:
+        u = conjugate_gradient(matvec, residual, tol=tol, max_iter=max_iter)
+    else:
+        u = slot.u = conjugate_gradient(matvec, residual, tol=tol, max_iter=max_iter,
+                                        x0=slot.u)
     return op.adjoint(u)
 
 
 def inner_vector(op: LinearOperatorDescriptor, residual, sigma_y: float, r2: float,
-                 solver: SolverSpec | None = None) -> RealField:
+                 solver: SolverSpec | None = None, slot: CgSlot | None = None) -> RealField:
     """Evaluate A^T (sigma_y^2 I + r2 A A^T)^{-1} residual.
 
     The closed form divides in the operator's eigenbasis of A A^T; a
-    ConjugateGradientSolver solves the system iteratively instead.
+    ConjugateGradientSolver solves the system iteratively instead, from
+    zero, or, given a CgSlot, from the slot's last solution, which it
+    then replaces. The closed form ignores the slot.
     """
     residual = as_field(residual)
     if isinstance(solver, ConjugateGradientSolver):
-        return _inner_vector_cg(op, residual, sigma_y, r2, solver.tol, solver.max_iter)
+        return _inner_vector_cg(op, residual, sigma_y, r2, solver.tol, solver.max_iter,
+                                slot)
     return op.adjoint_coeffs(op.coeffs(residual) / (sigma_y * sigma_y + r2 * op.gram_eigenvalues))
 
 
 def _gradient_at_mean(spec: GuidanceSpec, field: VectorFieldSpec, b, y: np.ndarray,
-                      z0_mean: np.ndarray, t: float) -> RealField:
+                      z0_mean: np.ndarray, t: float, slot: CgSlot | None = None) -> RealField:
     residual = y - b.apply(z0_mean)
     r2 = posterior_cov_scalar(spec.cov_mode, t, field)
-    u = inner_vector(b, residual, spec.sigma_y, r2, solver=spec.solver)
+    # Through the module attribute, so a wrapper of inner_vector sees every pass.
+    u = inner_vector(b, residual, spec.sigma_y, r2, solver=spec.solver, slot=slot)
     return mean_jacobian_scalar(field, t) * u
 
 
@@ -192,15 +235,16 @@ def likelihood_gradient(spec: GuidanceSpec, field: VectorFieldSpec, dec: Decoder
 
 
 def _corrected_velocity(spec: GuidanceSpec, field: VectorFieldSpec, b, y: np.ndarray,
-                        z, t: float) -> RealField:
+                        z, t: float, slots=None) -> RealField:
     z = as_field(z)
     if not 0.0 <= t < 1.0:
         raise ValueError(f"corrected velocity needs t in [0, 1), got {t}")
     v_uncond = eval_field(field, z, t)
     g = t / (1.0 - t)
     v = v_uncond
-    for _ in range(1 if spec.literal_update else spec.k_steps):
-        grad = _gradient_at_mean(spec, field, b, y, z - t * v, t)
+    for k in range(1 if spec.literal_update else spec.k_steps):
+        slot = None if slots is None else slots[k]
+        grad = _gradient_at_mean(spec, field, b, y, z - t * v, t, slot)
         v = v_uncond - g * grad
     return v
 
@@ -231,17 +275,21 @@ def make_velocity(spec: GuidanceSpec, field: VectorFieldSpec, dec: DecoderSpec,
         v_u - g c B^T (w (1 - (-mu)^K) / (1 + mu)),
 
     one forward and one inverse transform per evaluation for any K. The
-    conjugate-gradient solver runs the pass-by-pass route on the same B.
+    conjugate-gradient solver runs the pass-by-pass route on the same B,
+    with one CgSlot per pass: each pass starts its solve from its own
+    solution at the previous evaluation.
     """
     y = as_field(y)
     b = latent_operator(op, dec)
+    passes = 1 if spec.literal_update else spec.k_steps
     if not isinstance(spec.solver, ClosedFormSolver):
+        slots = [CgSlot() for _ in range(passes)]
+
         def velocity(z, t: float) -> RealField:
-            return _corrected_velocity(spec, field, b, y, z, t)
+            return _corrected_velocity(spec, field, b, y, z, t, slots)
         return velocity
 
     sy2 = spec.sigma_y * spec.sigma_y
-    passes = 1 if spec.literal_update else spec.k_steps
     lam = b.gram_eigenvalues
     y_hat = b.coeffs(y)
     apply_coeffs = b.apply_coeffs

@@ -11,6 +11,7 @@ t * g(t) * c(t) = r^2(t).
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from lflow.fields import (
     posterior_mean,
 )
 from lflow.guidance import (
+    ClosedFormSolver,
     ConjugateGradientSolver,
     GuidanceSpec,
     conjugate_gradient,
@@ -46,7 +48,8 @@ from lflow.operators import (
     build_gaussian_kernel,
     dense_materialize,
 )
-from lflow.sampler import AdaptiveHeunSolver, SamplerConfig, sample_posterior
+from lflow.sampler import AdaptiveHeunSolver, SamplerConfig, init_state, sample_posterior
+from lflow.tasks import default_task_config, degrade
 
 
 def dense_inner_vector(op, residual, sigma_y, r2):
@@ -161,6 +164,91 @@ def test_conjugate_gradient_breakdown_is_a_cg_error(matvec):
     assert info.value.iterations == 0
 
 
+def cold_cg_reference(matvec, rhs, tol):
+    """The zero-start CG loop, out of place: the bits a slot-less solve keeps."""
+    rs = float(np.vdot(rhs, rhs).real)
+    rhs_norm = np.sqrt(rs)
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    p = r.copy()
+    for _ in range(500):
+        mp = matvec(p)
+        alpha = rs / float(np.vdot(p, mp).real)
+        x = x + alpha * p
+        r = r - alpha * mp
+        rs_next = float(np.vdot(r, r).real)
+        if np.sqrt(rs_next) <= tol * rhs_norm:
+            return x
+        p = r + (rs_next / rs) * p
+        rs = rs_next
+    raise AssertionError("reference CG did not converge")
+
+
+def spd_problem(seed):
+    rng = make_rng(seed)
+    m = rng.normal(size=(12, 12))
+    return m @ m.T + 12.0 * np.eye(12), rng.normal(size=12)
+
+
+def test_conjugate_gradient_from_the_exact_solution_returns_after_one_matvec():
+    spd, rhs = spd_problem(20)
+    exact = np.linalg.solve(spd, rhs)
+    x0 = exact.copy()
+    calls = []
+
+    def matvec(v):
+        calls.append(1)
+        return spd @ v
+
+    got = conjugate_gradient(matvec, rhs, x0=x0)
+    assert calls == [1]
+    assert np.array_equal(got, exact)
+    assert np.array_equal(x0, exact)
+    assert not np.shares_memory(got, x0)
+
+
+def test_conjugate_gradient_from_an_arbitrary_start_matches_a_direct_solve():
+    spd, rhs = spd_problem(21)
+    x0 = make_rng(22).normal(size=rhs.shape)
+    before = x0.copy()
+    got = conjugate_gradient(lambda v: spd @ v, rhs, tol=1e-12, x0=x0)
+    np.testing.assert_array_equal(x0, before)
+    want = np.linalg.solve(spd, rhs)
+    assert np.max(np.abs(got - want)) < 1e-10 * float(np.max(np.abs(want)))
+
+
+def test_conjugate_gradient_start_is_never_written_by_an_identity_matvec():
+    # A matvec that returns its input: neither the start, rhs nor the
+    # returned buffer may be written.
+    rhs = make_rng(23).normal(size=6)
+    x0 = make_rng(24).normal(size=6)
+    before = x0.copy()
+    got = conjugate_gradient(lambda v: v, rhs, tol=1e-14, x0=x0)
+    np.testing.assert_array_equal(x0, before)
+    np.testing.assert_allclose(got, rhs, atol=1e-14)
+
+
+@pytest.mark.parametrize("matvec", [
+    lambda v: np.zeros_like(v),
+    lambda v: -v,
+    lambda v: np.full_like(v, np.nan),
+], ids=["singular", "negative_definite", "nan"])
+def test_conjugate_gradient_breakdown_from_a_start_is_a_cg_error(matvec):
+    with pytest.raises(CgConvergenceError, match="breakdown"):
+        conjugate_gradient(matvec, np.ones(4), x0=np.full(4, 0.5))
+
+
+@pytest.mark.parametrize("kind", ["mask", "circconv", "convdown", "dense"])
+def test_slotless_cg_inner_vector_keeps_the_zero_start_bits(kind):
+    # inner_vector without a slot is the stateless cold reference.
+    op = make_operator(kind, make_rng(26))
+    residual = make_rng(27).normal(size=op.output_shape)
+    sy2, r2 = 0.1 * 0.1, 0.5
+    u = cold_cg_reference(lambda v: sy2 * v + r2 * op.gram(v), residual, 1e-10)
+    got = inner_vector(op, residual, 0.1, r2, solver=ConjugateGradientSolver())
+    assert np.array_equal(got, op.adjoint(u))
+
+
 @pytest.mark.parametrize("kind", ["mask", "circconv", "convdown"])
 def test_cg_solve_stays_on_the_measurement_grid(kind, monkeypatch):
     # Every CG matvec goes through op.gram; the operator's apply and
@@ -215,6 +303,114 @@ def test_cg_run_builds_the_latent_operator_once(monkeypatch):
                                DiagonalScaleDecoder(1.4, (8, 8)), op, y)
     assert traj.nfe > 1
     assert builds == [1]
+
+
+def cg_problem(seed, shape=(16, 16)):
+    op = CircConvOperator(build_gaussian_kernel(5, 1.2), shape)
+    rng = make_rng(seed)
+    return op, rng.normal(size=shape), rng.normal(size=shape)
+
+
+def count_grams(monkeypatch, cls):
+    calls = []
+    real_gram = cls.gram
+
+    def counted(self, u):
+        calls.append(1)
+        return real_gram(self, u)
+
+    monkeypatch.setattr(cls, "gram", counted)
+    return calls
+
+
+def test_warm_cg_velocity_tracks_the_cold_reference():
+    op, y, z = cg_problem(30)
+    field = AnalyticGaussianField(sigma_latr=0.5)
+    dec = IdentityDecoder(op.input_shape)
+    step = make_rng(31).normal(size=z.shape)
+    for k_steps, literal in ((1, False), (2, False), (3, False), (2, True)):
+        spec = GuidanceSpec(sigma_y=0.05, k_steps=k_steps, literal_update=literal,
+                            solver=ConjugateGradientSolver())
+        warm = make_velocity(spec, field, dec, op, y)
+        for i, t in enumerate((0.8, 0.79, 0.77, 0.6, 0.62, 0.3, 0.05)):
+            zi = z + 0.01 * i * step
+            want = corrected_velocity(spec, field, dec, op, y, zi, t)
+            got = warm(zi, t)
+            err = float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
+            assert err < 1e-9, (k_steps, literal, t, err)
+
+
+def test_warm_cg_velocity_needs_fewer_matvecs_at_a_nearby_time(monkeypatch):
+    op, y, z = cg_problem(32)
+    spec = GuidanceSpec(sigma_y=0.05, solver=ConjugateGradientSolver())
+    velocity = make_velocity(spec, AnalyticGaussianField(sigma_latr=0.5),
+                             IdentityDecoder(op.input_shape), op, y)
+    calls = count_grams(monkeypatch, CircConvOperator)
+    velocity(z, 0.8)
+    first = len(calls)
+    calls.clear()
+    velocity(z, 0.79)
+    assert 0 < len(calls) < first
+
+
+def test_cg_velocity_makes_one_inner_vector_call_per_pass(monkeypatch):
+    # perfbench wraps guidance.inner_vector by name to split an NFE into
+    # layers, so the CG velocity must reach the solve through it.
+    real_inner_vector = lflow.guidance.inner_vector
+    passes = []
+
+    def counting_inner_vector(*args, **kwargs):
+        passes.append(1)
+        return real_inner_vector(*args, **kwargs)
+
+    monkeypatch.setattr(lflow.guidance, "inner_vector", counting_inner_vector)
+    op, y, z = cg_problem(33, shape=(8, 8))
+    field = AnalyticGaussianField(sigma_latr=0.5)
+    dec = IdentityDecoder(op.input_shape)
+    for k_steps, literal, want in ((1, False, 1), (2, False, 2), (3, False, 3), (3, True, 1)):
+        spec = GuidanceSpec(sigma_y=0.05, k_steps=k_steps, literal_update=literal,
+                            solver=ConjugateGradientSolver())
+        velocity = make_velocity(spec, field, dec, op, y)
+        for t in (0.8, 0.7):
+            passes.clear()
+            velocity(z, t)
+            assert len(passes) == want, (k_steps, literal, t)
+
+
+def test_warm_cg_runs_share_no_state():
+    # Run A, then run B on another measurement, then A again: the warm
+    # starts live in one run's closure, so the two A runs are identical.
+    op = CircConvOperator(build_gaussian_kernel(3, 1.0), (8, 8))
+    guidance = GuidanceSpec(sigma_y=0.1, solver=ConjugateGradientSolver())
+    config = SamplerConfig(t_s=0.8, solver=AdaptiveHeunSolver(atol=1e-4, rtol=1e-4),
+                           guidance=guidance, seed=3)
+    field = AnalyticGaussianField(sigma_latr=0.5)
+    dec = IdentityDecoder((8, 8))
+    y_a = make_rng(34).normal(size=(8, 8))
+    y_b = make_rng(35).normal(size=(8, 8))
+    z_a1, traj_a1 = sample_posterior(config, field, dec, op, y_a)
+    z_b, traj_b = sample_posterior(config, field, dec, op, y_b)
+    z_a2, traj_a2 = sample_posterior(config, field, dec, op, y_a)
+    assert traj_a1.nfe > 2
+    assert not np.array_equal(z_a1, z_b)
+    assert np.array_equal(z_a1, z_a2)
+    assert traj_a1.nfe == traj_a2.nfe
+
+
+def test_cg_velocity_at_64_squared_pigdm_with_a_larger_iteration_cap():
+    # The gaussian-deblur preset at 64^2 has A A^T eigenvalues from 1.4e-14
+    # to 1, so in pigdm mode the first (cold) solve at t_s needs about 607
+    # matvecs: the default cap of 500 fails it, 1000 does not.
+    cfg = default_task_config("gaussian-deblur", guidance_solver="cg", cov_mode="pigdm",
+                              seed=1, cg_max_iter=1000)
+    op, _ = cfg.build_operator()
+    field, dec, sampler_cfg = cfg.build_field(), cfg.build_decoder(), cfg.build_sampler()
+    y = degrade(cfg) - op.apply(np.full(op.input_shape, 0.5))
+    z = init_state(sampler_cfg, dec, op, y, make_rng(cfg.seed))
+    got = make_velocity(sampler_cfg.guidance, field, dec, op, y)(z, cfg.t_s)
+    closed = replace(sampler_cfg.guidance, solver=ClosedFormSolver())
+    want = make_velocity(closed, field, dec, op, y)(z, cfg.t_s)
+    assert float(np.max(np.abs(got - want))) < 1e-9 * float(np.max(np.abs(want)))
 
 
 def test_inner_vector_all_ones_mask_with_unit_noise():
