@@ -27,7 +27,7 @@ import sys
 from dataclasses import replace
 
 from .config import parse_config_file
-from .errors import LflowError
+from .errors import ConfigError, LflowError
 from .fields import COV_MODE_KINDS
 from .imageio import write_image
 from .operators import MaskOperator, block_downsample_check
@@ -86,7 +86,10 @@ def _resolve_config(args) -> TaskConfig:
         overrides["out_dir"] = args.out
     if getattr(args, "report", None) is not None:
         overrides["report_format"] = args.report
-    return replace(cfg, **overrides) if overrides else cfg
+    try:
+        return replace(cfg, **overrides) if overrides else cfg
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _out_dir(cfg: TaskConfig) -> str:

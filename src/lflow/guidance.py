@@ -16,15 +16,17 @@ sigma_y^2 I + r2(t) B B^T. `inner_vector` evaluates B^T S^{-1} residual,
 the only part that touches the operator structure. Every operator, and
 so every B, diagonalizes B B^T in its own basis (see `lflow.operators`),
 so the closed form divides the residual's basis coefficients by
-sigma_y^2 + r2 lambda, mode by mode; the conjugate-gradient solver is the
-iterative reference. It solves S u = residual on the measurement grid
-with the matvec sigma_y^2 u + r2 B.gram(u), where `gram` is the
-operator's own B B^T product (one transform pair for the convolution
-operators), and applies B^T once to the solution. Buffer discipline: the
-matvec scales the fresh array gram returns and adds sigma_y^2 u to it in
-place; `conjugate_gradient` updates x, r and p in place through one
-scratch buffer per solve and never writes rhs or an array that a matvec
-returned (a caller's matvec may hand back a cached buffer or its input).
+sigma_y^2 + r2 lambda, mode by mode (`make_velocity` folds that division
+and all K passes into one real gain per mode); the conjugate-gradient
+solver is the iterative reference. It solves S u = residual on the
+measurement grid with the matvec sigma_y^2 u + r2 B.gram(u), where
+`gram` is the operator's own B B^T product (one transform pair for the
+convolution operators), and applies B^T once to the solution. Buffer
+discipline: the matvec scales the fresh array gram returns and adds
+sigma_y^2 u to it in place; `conjugate_gradient` updates x, r and p in
+place through one scratch buffer per solve and never writes rhs or an
+array that a matvec returned (a caller's matvec may hand back a cached
+buffer or its input).
 
 Warm start: consecutive velocity evaluations of one run solve almost the
 same system with almost the same right-hand side, so the velocity that
@@ -272,12 +274,19 @@ def make_velocity(spec: GuidanceSpec, field: VectorFieldSpec, dec: DecoderSpec,
     because B B^T acts as lambda on each mode. The K-pass velocity is
     therefore
 
-        v_u - g c B^T (w (1 - (-mu)^K) / (1 + mu)),
+        v_u - B^T (gain (y_hat - B_hat z_bar)),
+        gain = g c (1 - mu + mu^2 - ... +- mu^(K-1)) / d,
 
-    one forward and one inverse transform per evaluation for any K. The
-    conjugate-gradient solver runs the pass-by-pass route on the same B,
-    with one CgSlot per pass: each pass starts its solve from its own
-    solution at the previous evaluation.
+    the partial sum (1 - (-mu)^K) / (1 + mu) evaluated in Horner form, so
+    neither 1 + mu nor a complex spectrum is ever divided. The gain is one
+    real array per evaluation (a scalar for the mask's lambda = 1), applied
+    by one real-by-complex product on the residual coefficients. An
+    evaluation costs one forward and one inverse transform for any K. Buffer
+    discipline: the residual and the final difference are formed in place
+    on the fresh arrays apply_coeffs and adjoint_coeffs return; z and v_u
+    are never written. The conjugate-gradient solver runs the pass-by-pass
+    route on the same B, with one CgSlot per pass: each pass starts its
+    solve from its own solution at the previous evaluation.
     """
     y = as_field(y)
     b = latent_operator(op, dec)
@@ -299,18 +308,27 @@ def make_velocity(spec: GuidanceSpec, field: VectorFieldSpec, dec: DecoderSpec,
     mean_jacobian = mean_jacobian_fn(field)
     cov = posterior_cov_fn(spec.cov_mode, field)
 
+    def gain_at(t: float, gc: float):
+        # g c (1 - mu + ... +- mu^(K-1)) / d with mu = t lambda (g c / d),
+        # the series in Horner form; its temporaries die on return.
+        gain = gc / (sy2 + cov(t) * lam)
+        if passes > 1:
+            mu = (t * lam) * gain
+            series = 1.0 - mu
+            for _ in range(passes - 2):
+                series = 1.0 - mu * series
+            gain *= series
+        return gain
+
     def velocity(z, t: float) -> RealField:
         v_uncond = field_velocity(z, t)
-        c = mean_jacobian(t)
         g = t / (1.0 - t)
-        d = sy2 + cov(t) * lam
-        # w = (y_hat - B_hat z_bar) / d, in place on a fresh array.
+        # gain (y_hat - B_hat z_bar), in place on the fresh array apply_coeffs
+        # returns, then v_u minus its adjoint, in place on the adjoint's output.
         w = apply_coeffs(z - t * v_uncond)
         np.subtract(y_hat, w, out=w)
-        w /= d
-        if passes > 1:
-            mu = (g * t * c) * lam / d
-            w *= (1.0 - (-mu) ** passes) / (1.0 + mu)
-        return v_uncond - (g * c) * adjoint_coeffs(w)
+        w *= gain_at(t, g * mean_jacobian(t))
+        u = adjoint_coeffs(w)
+        return np.subtract(v_uncond, u, out=u)
 
     return velocity

@@ -25,9 +25,16 @@ their coefficients and `gram_eigenvalues` are half-spectra of the
 measurement grid, (h, w//2 + 1) for an (h, w) grid; the other half follows
 by Hermitian symmetry. They cache conj(k_hat) next to k_hat, so the
 adjoint does not conjugate per call, and `gram` scales the spectrum it
-has just computed in place. Only that real-by-complex scaling is done in
-place: complex-by-complex products keep the form `khat * spec`, because
-writing one in place or swapping its operands can change the last bit.
+has just computed in place. Complex-by-complex products keep the
+written form `khat * spec`: numpy's complex multiply can round
+differently with its operands swapped, so a rewrite must keep the bits
+of that expression as numpy evaluates it. Numpy computes `a * b` whose
+b is an unreferenced temporary of 256 KiB or more in place on b, with
+the operands swapped; `khat * dft2_forward(x)` does that at 256^2, in
+the code and in the reference formula alike. Where a buffer is reused
+on purpose the order is spelled out instead: the downsampler's adjoint
+writes np.multiply(conj_khat, tiled, out=tiled), the operand order of
+`conj_khat * tile`, which its owned tile would otherwise swap.
 
 `lift(y)` maps a measurement back onto the input grid to seed a sampler
 run: masks zero-fill, shape-preserving operators pass y through,
@@ -121,7 +128,7 @@ class MaskOperator:
 
     def apply(self, x) -> np.ndarray:
         x = _check_shape("mask apply", x, self.input_shape)
-        return x.ravel()[self._idx].copy()
+        return x.ravel()[self._idx]
 
     def adjoint(self, y) -> np.ndarray:
         y = _check_shape("mask adjoint", y, self.output_shape)
@@ -201,8 +208,11 @@ class ConvDownsampleOperator:
     Both need columns that a half-spectrum does not store: the fold reads
     high-resolution columns j2 + b2 m2 up to (s - 1) m2 + m2//2, and the
     tile reads low-resolution columns k2 mod m2 past m2//2. They are read
-    through the Hermitian mirror F[k1, k2] = conj(F[(-k1) % h, w - k2]),
-    with gather indices built once in `__init__`.
+    through the Hermitian mirror F[k1, k2] = conj(F[(-k1) % h, w - k2]):
+    a run of such columns is a reversed column slice whose rows come in
+    the order 0, h - 1, ..., 1. Each call fills one fresh array by slice
+    copies (the slices of the fold are built once in `__init__`), so
+    neither needs a gather index, a concatenation or `np.tile`.
     """
 
     kind = "convdown"
@@ -221,34 +231,52 @@ class ConvDownsampleOperator:
         self.input_shape = (h, w)
         m1, m2 = h // factor, w // factor
         self.output_shape = (m1, m2)
-        # Fold: column b2 (m2//2 + 1) + j2 of the gathered array is
-        # high-resolution column j2 + b2 m2. These increase, so the ones
-        # past w//2, read through the mirror, are the last ones.
+        # Fold: block b2 of the gathered columns, columns b2 n2 .. (b2 + 1) n2
+        # - 1, holds high-resolution columns b2 m2 .. b2 m2 + m2//2; its
+        # first `direct` ones lie in the half-spectrum, the rest in the mirror
+        # (source columns w - c for high-resolution column c, a reversed slice).
         n2 = m2 // 2 + 1
-        cols = (np.arange(n2) + m2 * np.arange(factor)[:, None]).ravel()
-        self._fold_direct = cols[cols <= w // 2]
-        self._fold_mirror = w - cols[cols > w // 2]
-        self._fold_rows = (-np.arange(h)) % h
-        # Tile: low-resolution columns n2..m2 - 1 come from the mirror;
-        # high-resolution column k2 is low-resolution column k2 mod m2.
-        self._tile_mirror = m2 - np.arange(n2, m2)
-        self._tile_rows = (-np.arange(m1)) % m1
-        self._tile_cols = np.arange(w // 2 + 1) % m2
+        self._fold_shape = (h, factor * n2)
+        self._fold_blocks = []
+        for b2 in range(factor):
+            c0 = b2 * m2
+            direct = max(0, min(n2, w // 2 + 1 - c0))
+            self._fold_blocks.append((
+                slice(b2 * n2, b2 * n2 + direct), slice(c0, c0 + direct),
+                slice(b2 * n2 + direct, (b2 + 1) * n2),
+                slice(w - c0 - direct, w - c0 - n2, -1)))
         self.khat = dft2_forward(embed_kernel(kernel, self.input_shape))
         self._khat_conj = np.conj(self.khat)
         self.gram_eigenvalues = self._fold(np.abs(self.khat) ** 2)
 
     def _fold(self, half: np.ndarray) -> np.ndarray:
         """(h, w//2 + 1) half-spectrum -> its (m1, m2//2 + 1) block fold."""
-        mirrored = np.conj(half[self._fold_rows[:, None], self._fold_mirror])
-        gathered = np.concatenate((half[:, self._fold_direct], mirrored), axis=1)
+        gathered = np.empty(self._fold_shape, dtype=half.dtype)
+        for dst, src, dst_mirror, src_mirror in self._fold_blocks:
+            gathered[:, dst] = half[:, src]
+            _conj_mirror_rows(half[:, src_mirror], gathered[:, dst_mirror])
         return block_average(gathered, self.factor)
 
     def _tile(self, low: np.ndarray) -> np.ndarray:
-        """(m1, m2//2 + 1) half-spectrum -> its (h, w//2 + 1) s x s tiling."""
-        mirrored = np.conj(low[self._tile_rows[:, None], self._tile_mirror])
-        full = np.concatenate((low, mirrored), axis=1)
-        return np.tile(full[:, self._tile_cols], (self.factor, 1))
+        """(m1, m2//2 + 1) half-spectrum -> its (h, w//2 + 1) s x s tiling.
+
+        High-resolution entry (k1, k2) is low-resolution entry
+        (k1 mod m1, k2 mod m2): the first m1 rows are low, its mirrored
+        columns n2 .. m2 - 1 and their periodic repeats; the other row
+        blocks copy them.
+        """
+        m1, m2 = self.output_shape
+        n2 = m2 // 2 + 1
+        width = self.input_shape[1] // 2 + 1
+        tiled = np.empty((self.input_shape[0], width), dtype=np.complex128)
+        top = tiled[:m1]
+        top[:, :n2] = low
+        stop = min(m2, width)
+        _conj_mirror_rows(low[:, m2 - n2 : m2 - stop : -1], top[:, n2:stop])
+        for c in range(m2, width, m2):
+            top[:, c : c + m2] = top[:, : min(m2, width - c)]
+        tiled.reshape(self.factor, m1, width)[1:] = top
+        return tiled
 
     def coeffs(self, y) -> np.ndarray:
         return dft2_forward(_check_shape("convdown coeffs", y, self.output_shape))
@@ -258,7 +286,11 @@ class ConvDownsampleOperator:
         return self._fold(self.khat * dft2_forward(x))
 
     def adjoint_coeffs(self, w) -> np.ndarray:
-        return dft2_inverse(self._khat_conj * self._tile(w), self.input_shape)
+        # Spelled out with conj(k_hat) first: the tile is a fresh, unreferenced
+        # array, which `self._khat_conj * self._tile(w)` would let numpy reuse
+        # with the operands swapped (see the module docstring).
+        tiled = self._tile(w)
+        return dft2_inverse(np.multiply(self._khat_conj, tiled, out=tiled), self.input_shape)
 
     def apply(self, x) -> np.ndarray:
         x = _check_shape("convdown apply", x, self.input_shape)
@@ -275,6 +307,12 @@ class ConvDownsampleOperator:
 
     def lift(self, y) -> np.ndarray:
         return float(self.factor**2) * self.adjoint(y)
+
+
+def _conj_mirror_rows(src: np.ndarray, out: np.ndarray) -> None:
+    """out[k1] = conj(src[(-k1) % h]): row 0, then rows h - 1 .. 1."""
+    np.conjugate(src[:1], out=out[:1])
+    np.conjugate(src[:0:-1], out=out[1:])
 
 
 class DenseOperator:
@@ -416,8 +454,8 @@ def build_gaussian_kernel(size: int, std: float) -> Kernel:
     """Normalized discrete Gaussian, centered. size must be odd."""
     if size % 2 == 0 or size < 1:
         raise ValueError(f"kernel size must be odd and positive, got {size}")
-    if std <= 0:
-        raise ValueError(f"std must be > 0, got {std}")
+    if not (std > 0 and std * std > 0):
+        raise ValueError(f"std must be > 0 with a square that does not underflow, got {std}")
     c = size // 2
     r = np.arange(size, dtype=np.float64) - c
     g = np.exp(-(r**2) / (2.0 * std * std))

@@ -26,10 +26,14 @@ non-finite error estimate whose stages hold a non-finite entry is a
 NonFiniteError naming the stage's time, not a rejection; a finite stage
 pair whose error estimate overflows stays a rejection.
 
-The adaptive loop builds each intermediate (trial state, Heun state,
-error scale, error vector) in place on its own fresh array. It never
-writes k1, which a rejected step reuses, or the accepted state z, which
-the next step reads and a solver error carries.
+The adaptive loop computes the inverse error scale 1 / (atol + rtol |z|)
+once per accepted state, not once per attempt. From the one difference
+k2 - k1 of an attempt it forms the Heun state z_euler + (h/2)(k2 - k1)
+and the error |h/2| sqrt(sum(((k2 - k1) / scale)^2) / n), the sum taken
+as one dot product. Each intermediate (trial state, difference, Heun
+state) is built in place on its own fresh array. The loop never writes
+k1, which a rejected step reuses, or the accepted state z, which the
+next step reads and a solver error carries.
 
 Failures raise MaxStepsExceededError or StepUnderflowError, both
 carrying the last good state; any error raised mid-run also carries the
@@ -299,6 +303,14 @@ def _check_stages(k1, k2, t: float, h: float) -> None:
             raise NonFiniteError(f"velocity became non-finite at t={t_stage:.6g}")
 
 
+def _inverse_error_scale(z, atol: float, rtol: float) -> np.ndarray:
+    """1 / (atol + rtol |z|), the componentwise weight of the error norm."""
+    inv = np.abs(z)
+    inv *= rtol
+    inv += atol
+    return np.reciprocal(inv, out=inv)
+
+
 def _run_adaptive(config, f, z, t_min, rec):
     solver = config.solver
     atol, rtol = solver.atol, solver.rtol
@@ -309,6 +321,7 @@ def _run_adaptive(config, f, z, t_min, rec):
     size = z.size
     steps = 0
     k1 = f(z, t)
+    inv_scale = _inverse_error_scale(z, atol, rtol)
     while t - t_min > 1e-12:
         if steps >= solver.max_steps:
             raise MaxStepsExceededError(t, z, solver.max_steps)
@@ -318,23 +331,19 @@ def _run_adaptive(config, f, z, t_min, rec):
         h_abs = min(h_abs, t - t_min)
         h = -h_abs
         half_h = 0.5 * h
-        # z + h k1, z + (h/2)(k1 + k2) and (h/2)(k2 - k1) / (atol + rtol |z|),
-        # each built in place on its own fresh array: k1 is reused after a
-        # rejection and z is the accepted state, so neither is written.
+        # z + h k1, then k2 - k1, which gives both the Heun state
+        # z + h k1 + (h/2)(k2 - k1) and the error |h/2| rms((k2 - k1) / scale);
+        # each is built in place on its own fresh array: k1 is reused after
+        # a rejection and z is the accepted state, so neither is written.
         z_euler = h * k1
         z_euler += z
         k2 = f(z_euler, t + h)
-        z_heun = k1 + k2
-        z_heun *= half_h
-        z_heun += z
-        scale = np.abs(z)
-        scale *= rtol
-        scale += atol
-        err_vec = k2 - k1
-        err_vec *= half_h
-        err_vec /= scale
-        err_vec *= err_vec
-        err = math.sqrt(float(err_vec.sum()) / size)
+        diff = k2 - k1
+        z_heun = diff * half_h
+        z_heun += z_euler
+        diff *= inv_scale
+        flat = diff.ravel(order="K")
+        err = abs(half_h) * math.sqrt(float(flat.dot(flat)) / size)
         if err <= 1.0:
             t = t + h
             if t - t_min <= 1e-12:
@@ -343,6 +352,7 @@ def _run_adaptive(config, f, z, t_min, rec):
             rec.add(t, z)
             if t - t_min > 1e-12:
                 k1 = f(z, t)
+                inv_scale = _inverse_error_scale(z, atol, rtol)
         else:
             # err is NaN or inf when a stage is; from finite stages it can
             # still overflow to inf, and that stays a rejection.

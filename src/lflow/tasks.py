@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import config_hash
 from .decoders import DiagonalScaleDecoder, IdentityDecoder, decode
-from .errors import ConfigError, LflowError, ZeroScaleError
+from .errors import ConfigError, ImageFormatError, LflowError, ZeroScaleError
 from .fields import AnalyticGaussianField, COV_MODE_KINDS, CovarianceMode
 from .guidance import ClosedFormSolver, ConjugateGradientSolver, GuidanceSpec
 from .metrics import mse as mse_metric, psnr, ssim
@@ -52,6 +52,7 @@ GUIDANCE_SOLVER_NAMES = ("closed-form", "cg")
 ODE_SOLVER_NAMES = ("adaptive", "euler", "heun")
 REPORT_FORMATS = ("csv", "json")
 SYNTHETIC_IMAGE = "synthetic"
+SYNTHETIC_MIN_SIZE = 4
 
 # Measurement noise must not replay the sampler's noise stream, so the
 # degrade generator runs at a fixed offset from the run seed.
@@ -149,6 +150,27 @@ class TaskConfig:
                 raise ValueError(f"{_CONFIG_KEY[attr]}: {value!r} not one of {allowed}")
         if self.size < 1:
             raise ValueError(f"{_CONFIG_KEY['size']}: must be >= 1, got {self.size}")
+        if self.image == SYNTHETIC_IMAGE and self.size < SYNTHETIC_MIN_SIZE:
+            raise ValueError(f"{_CONFIG_KEY['size']}: must be >= {SYNTHETIC_MIN_SIZE} for "
+                             f"{_CONFIG_KEY['image']} = {SYNTHETIC_IMAGE}, got {self.size}")
+        # Values the runtime objects would reject under their own field
+        # names, checked here so the message names the config key.
+        std = self.kernel_std
+        deblur = self.kind in ("gaussian-deblur", "motion-deblur")
+        for attr, ok, rule in (
+            ("sigma_y", self.sigma_y >= 0.0, ">= 0"),
+            ("sigma_latr", self.sigma_latr > 0.0, "> 0"),
+            ("kernel_std", self.kind != "gaussian-deblur" or (std > 0.0 and std * std > 0.0),
+             "> 0 with a square that does not underflow"),
+            ("kernel_size", not deblur or (self.kernel_size >= 1 and self.kernel_size % 2),
+             "odd and >= 1"),
+            ("cg_tol", self.guidance_solver != "cg" or self.cg_tol > 0.0, "> 0"),
+            ("cg_max_iter", self.guidance_solver != "cg" or self.cg_max_iter >= 1, ">= 1"),
+            ("seed", self.seed >= 0, ">= 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{_CONFIG_KEY[attr]}: must be {rule}, "
+                                 f"got {getattr(self, attr)!r}")
         if self.sigma_y == 0.0 and self.cov_mode == "zero":
             raise ConfigError(f"{_CONFIG_KEY['sigma_y']} = 0 with {_CONFIG_KEY['cov_mode']} "
                               f"= zero makes the measurement system S = sigma_y^2 I "
@@ -301,8 +323,8 @@ def synthetic_image(size: int = 64) -> np.ndarray:
     can still get it back, so degradation and recovery both register
     clearly in the metrics.
     """
-    if size < 4:
-        raise ValueError(f"size must be >= 4, got {size}")
+    if size < SYNTHETIC_MIN_SIZE:
+        raise ValueError(f"size must be >= {SYNTHETIC_MIN_SIZE}, got {size}")
     f = size / 64.0
     ii, jj = np.mgrid[0:size, 0:size].astype(float)
     img = 0.48 + 0.08 * (jj / (size - 1.0) - 0.5)
@@ -332,7 +354,10 @@ def resolve_truth(cfg: TaskConfig) -> np.ndarray:
         return synthetic_image(cfg.size)
     from .imageio import read_image
 
-    image = read_image(cfg.image)
+    try:
+        image = read_image(cfg.image)
+    except (OSError, ImageFormatError) as exc:
+        raise ConfigError(f"{_CONFIG_KEY['image']}: cannot read {cfg.image!r}: {exc}") from exc
     if image.shape != cfg.image_shape():
         raise ConfigError(f"{_CONFIG_KEY['image']}: {cfg.image!r} is "
                           f"{image.shape[0]}x{image.shape[1]}, but {_CONFIG_KEY['size']} "

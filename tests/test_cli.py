@@ -161,10 +161,25 @@ def test_unknown_config_key_exits_with_a_usage_error(tmp_path, capsys):
     ("[prior]\ndecoder_kind = scale\ndecoder_scale = 0\n", "[prior] decoder_scale"),
     ("[prior]\nsigma_latr = nan\n", "[prior] sigma_latr"),
     ("[task]\nsigma_y = nan\n", "[task] sigma_y"),
+    ("[prior]\nsigma_latr = 0\n", "[prior] sigma_latr"),
+    ("[prior]\nsigma_latr = -1\n", "[prior] sigma_latr"),
+    ("[task]\nsize = 2\nkernel_size = 1\n", "[task] size"),
+    ("[task]\nsize = 3\nkernel_size = 1\n", "[task] size"),
+    ("[task]\nsigma_y = -0.1\n", "[task] sigma_y"),
+    ("[task]\nkernel_std = -1\n", "[task] kernel_std"),
+    ("[task]\nkernel_std = 1e-200\n", "[task] kernel_std"),
+    ("[task]\nkernel_size = 4\n", "[task] kernel_size"),
+    ("[guidance]\ncg_tol = 0\nsolver = cg\n", "[guidance] cg_tol"),
+    ("[guidance]\ncg_max_iter = 0\nsolver = cg\n", "[guidance] cg_max_iter"),
+    ("[task]\nimage = no-such-file.pgm\n", "[task] image"),
+    ("[sampler]\nseed = -1\n", "[sampler] seed"),
 ], ids=["k_steps", "box_size", "cov_mode", "box_size_key", "gaussian_kernel_size",
         "motion_kernel_size", "sr_factor", "sr_kernel_too_big", "kernel_length",
         "singular_system", "scale_nan", "scale_inf", "scale_zero", "sigma_latr_nan",
-        "sigma_y_nan"])
+        "sigma_y_nan", "sigma_latr_zero", "sigma_latr_negative", "size_2", "size_3",
+        "sigma_y_negative", "kernel_std_negative", "kernel_std_underflow",
+        "kernel_size_even", "cg_tol_zero", "cg_max_iter_zero", "image_missing",
+        "seed_negative"])
 def test_bad_config_values_exit_with_a_usage_error(tmp_path, capsys, text, blamed):
     bad = tmp_path / "bad.cfg"
     bad.write_text(text)
@@ -198,6 +213,13 @@ def test_cov_mode_flag_cannot_make_the_system_singular(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 2
     assert "[guidance] cov_mode" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.pgm"))
+
+
+def test_negative_seed_flag_exits_with_a_usage_error(tmp_path, config_path, capsys):
+    code = main(["sample", "--config", config_path, "--seed", "-1", "--out", str(tmp_path)])
+    assert code == 2
+    assert "[sampler] seed" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.pgm"))
 
 

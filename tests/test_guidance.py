@@ -45,6 +45,7 @@ from lflow.operators import (
     DenseOperator,
     Kernel,
     MaskOperator,
+    build_bicubic_kernel,
     build_gaussian_kernel,
     dense_materialize,
 )
@@ -683,6 +684,47 @@ def test_fused_dense_velocity_matches_the_generic_path(dec_kind, monkeypatch):
                 assert not passes, "the fused closure fell back to the per-pass route"
                 err = float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
                 assert err < tol, (op_kind, type(field).__name__, mode, k_steps, literal, t, err)
+
+
+def _read_only(arr):
+    arr = np.asarray(arr)
+    arr.flags.writeable = False
+    return arr
+
+
+@pytest.mark.parametrize("field_kind", ["analytic", "read-only callback"])
+@pytest.mark.parametrize("k_steps", [1, 2, 3])
+@pytest.mark.parametrize("op_kind", ["circconv", "convdown"])
+def test_fused_velocity_at_256_squared_matches_the_generic_path(op_kind, k_steps,
+                                                                field_kind):
+    # At 256^2 a real half-spectrum is past numpy's 256 KiB threshold for
+    # reusing temporaries in place, so this is where the fused closure's
+    # in-place buffers meet numpy's own: the result must match the
+    # pass-by-pass route, repeat bit for bit, and write neither z, y nor
+    # the unconditional velocity (read-only here, as a field may cache it).
+    shape = (256, 256)
+    if op_kind == "circconv":
+        op = CircConvOperator(build_gaussian_kernel(9, 1.5), shape)
+    else:
+        op = ConvDownsampleOperator(build_bicubic_kernel(2), shape, 2)
+    rng = make_rng(41)
+    field = AnalyticGaussianField(sigma_latr=0.5)
+    if field_kind != "analytic":
+        field = CallbackField(lambda z, t, s=field.scalar: _read_only(s(t) * z),
+                              surrogate_sigma_latr=0.5)
+    dec = IdentityDecoder(shape)
+    y = rng.normal(size=op.output_shape)
+    z = rng.normal(size=shape)
+    y.flags.writeable = False
+    z.flags.writeable = False
+    spec = GuidanceSpec(sigma_y=0.01, k_steps=k_steps)
+    velocity = make_velocity(spec, field, dec, op, y)
+    for t in (0.2, 0.5, 0.8):
+        want = corrected_velocity(spec, field, dec, op, y, z, t)
+        got = velocity(z, t)
+        err = float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
+        assert err < 1e-12, (t, err)
+        assert np.array_equal(velocity(z, t), got)
 
 
 def test_fused_path_honors_the_literal_update_flag():

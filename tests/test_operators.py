@@ -238,6 +238,20 @@ def test_mask_apply_after_adjoint_is_identity_on_measurements():
     np.testing.assert_array_equal(op.apply(op.adjoint(y)), y)
 
 
+@pytest.mark.parametrize("all_observed", [False, True])
+def test_mask_apply_returns_its_own_copy(all_observed):
+    # The gather copies, so the measurement never aliases the field, even
+    # when every pixel is observed.
+    mask = np.ones((6, 6))
+    if not all_observed:
+        mask[2:4, 1:5] = 0.0
+    op = MaskOperator(mask)
+    x = make_rng(7).normal(size=(6, 6))
+    got = op.apply(x)
+    assert not np.shares_memory(got, x)
+    np.testing.assert_array_equal(got, x[mask == 1.0])
+
+
 def test_mask_rejects_non_binary_entries():
     with pytest.raises(ValueError):
         MaskOperator(np.full((2, 2), 0.5))

@@ -13,6 +13,7 @@ import csv
 import numpy as np
 import pytest
 
+import lflow.sampler
 from lflow.decoders import IdentityDecoder, encode
 from lflow.errors import (
     MaxStepsExceededError,
@@ -225,6 +226,35 @@ def test_adaptive_run_is_pinned():
         z, [-0.6865393050241806, -1.3720785794420605, 0.2041404023189987, 0.509066216796141],
         rtol=0.0, atol=1e-13,
     )
+
+
+def test_adaptive_run_never_writes_its_stages_or_state(monkeypatch):
+    # Read-only velocities and a read-only start state: any in-place write
+    # to k1, k2 or an accepted state raises. The run must still take its
+    # rejection and land on the bits of an unguarded run.
+    field, dec, op, y = small_problem()
+    config = SamplerConfig(guidance=GuidanceSpec(sigma_y=0.1))
+    z_free, traj_free = integrate(config, field, dec, op, y, make_rng(5))
+    real_make_velocity = lflow.sampler.make_velocity
+    real_init_state = lflow.sampler.init_state
+
+    def read_only(arr):
+        arr = np.asarray(arr)
+        arr.flags.writeable = False
+        return arr
+
+    def frozen_make_velocity(*args):
+        velocity = real_make_velocity(*args)
+        return lambda z, t: read_only(velocity(z, t))
+
+    monkeypatch.setattr(lflow.sampler, "make_velocity", frozen_make_velocity)
+    monkeypatch.setattr(lflow.sampler, "init_state",
+                        lambda *args: read_only(real_init_state(*args)))
+    z, traj = integrate(config, field, dec, op, y, make_rng(5))
+    assert traj.rejected >= 1
+    assert (traj.nfe, traj.accepted, traj.rejected) == (
+        traj_free.nfe, traj_free.accepted, traj_free.rejected)
+    np.testing.assert_array_equal(z, z_free)
 
 
 def test_adaptive_evaluation_accounting():

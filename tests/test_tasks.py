@@ -8,18 +8,25 @@ iterative solve sees a realistic spectrum.
 """
 
 import math
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lflow.config import CONFIG_SCHEMA
 from lflow.errors import ConfigError
 from lflow.fields import COV_MODE_KINDS
 from lflow.numerics import make_rng
 from lflow.operators import CircConvOperator, ConvDownsampleOperator, MaskOperator
+from lflow.sampler import INIT_MODES
 from lflow.tasks import (
     DEGRADE_SEED_OFFSET,
+    GUIDANCE_SOLVER_NAMES,
+    ODE_SOLVER_NAMES,
+    REPORT_FORMATS,
     TASK_KINDS,
     TaskConfig,
     bench_cov_modes,
@@ -280,3 +287,58 @@ def test_task_kind_constant_matches_presets():
     )
     for kind in TASK_KINDS:
         assert default_task_config(kind).kind == kind
+
+
+# Values per schema type. The enumerated string keys draw a valid name or
+# a bogus one; `image` draws the synthetic card or files that cannot be
+# read; integers stay small enough that no accepted size builds a large
+# grid; floats cover the whole finite range, subnormals included.
+_CHOICES = {
+    ("task", "kind"): TASK_KINDS,
+    ("task", "image"): ("synthetic", "no-such-file.pgm", "no-such-file.png", __file__),
+    ("prior", "decoder_kind"): ("identity", "scale"),
+    ("guidance", "cov_mode"): COV_MODE_KINDS,
+    ("guidance", "solver"): GUIDANCE_SOLVER_NAMES,
+    ("sampler", "solver"): ODE_SOLVER_NAMES,
+    ("sampler", "init_mode"): INIT_MODES,
+    ("run", "report_format"): REPORT_FORMATS,
+}
+_BY_TYPE = {
+    int: st.integers(-3, 40),
+    float: st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                     st.sampled_from([0.0, -0.0, 1e-320, 1e-300, 1e300, 0.5, 2.0])),
+    bool: st.booleans(),
+    str: st.just("out"),
+}
+
+
+def _value(section, key, typ):
+    if (section, key) in _CHOICES:
+        return st.sampled_from(_CHOICES[(section, key)] + ("bogus",))
+    return _BY_TYPE[typ]
+
+
+_SECTIONS = st.fixed_dictionaries({
+    section: st.fixed_dictionaries({}, optional={
+        key: _value(section, key, typ) for key, typ in keys.items()})
+    for section, keys in CONFIG_SCHEMA.items()
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(sections=_SECTIONS)
+def test_every_drawn_config_builds_or_is_a_config_error(sections):
+    # No sampler runs: the pre-flight alone must turn every value it cannot
+    # use into a ConfigError, before a run starts and without a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            cfg = task_config_from_sections(sections)
+            cfg.build_operator()
+            cfg.build_field()
+            cfg.build_decoder()
+            cfg.build_guidance()
+            cfg.build_sampler()
+            resolve_truth(cfg)
+        except ConfigError:
+            pass
