@@ -28,17 +28,33 @@ place through one scratch buffer per solve and never writes rhs or an
 array that a matvec returned (a caller's matvec may hand back a cached
 buffer or its input).
 
-Warm start: consecutive velocity evaluations of one run solve almost the
-same system with almost the same right-hand side, so the velocity that
-`make_velocity` builds for the CG solver keeps one `CgSlot` per
-correction pass, created with the closure and so private to one run.
-Pass k starts its solve from the solution pass k stored at the previous
-evaluation and stores its new solution back. The stored array is the one
-`conjugate_gradient` returned, never written afterwards; the next solve
-copies it into a fresh iterate. The stopping rule stays tol * ||rhs||,
-so the warm start changes the work, not the accuracy guarantee. The
-public `corrected_velocity` and `inner_vector` without a slot are the
-stateless cold reference: every solve starts from zero.
+Predicted start: consecutive velocity evaluations of one run solve
+almost the same system with almost the same right-hand side, so the
+velocity that `make_velocity` builds for the CG solver keeps one
+`CgSlot` per correction pass, created with the closure and so private to
+one run. Before each solve `_corrected_velocity` tells the slot the time
+t, and the slot predicts the solution from its pass's history:
+
+* A solve at the same t as the pass's previous solve is a Heun
+  re-evaluation at the state just accepted, so the previous solve was
+  the stage that produced it. It starts from that stage's solution minus
+  the last stage offset (stage solution minus accepted-state solution at
+  one time), scaled by (h / h_prev)^2, since a stage state differs from
+  its accepted state by O(h^2).
+* Every other solve (the next Heun stage, a retry after a rejection, an
+  Euler step) starts from the Lagrange extrapolation in t of the pass's
+  solutions at its last four accepted states, linear from the last two
+  while fewer than four are known, and the plain last solution while
+  fewer than two are.
+
+The first solve of a run and every same-time solve count as accepted
+states; that is the call pattern of every stepper in `lflow.sampler`. The
+stored arrays are the ones `conjugate_gradient` returned, never written
+afterwards; a prediction is a fresh array that the solve copies. The
+stopping rule stays tol * ||rhs||, so the prediction changes the work,
+not the accuracy guarantee. The public `corrected_velocity` and
+`inner_vector` without a slot are the stateless cold reference: every
+solve starts from zero.
 
 In the linear-Gaussian setting (analytic field, linear decoder) nothing
 here is approximate: the gradient equals the gradient of the explicit
@@ -71,6 +87,8 @@ from .operators import LinearOperatorDescriptor
 
 CG_MAX_ITER_DEFAULT = 500
 CG_TOL_DEFAULT = 1e-10
+# Accepted-state solutions a CgSlot keeps: the nodes of its cubic prediction.
+CG_HISTORY = 4
 
 
 @dataclass(frozen=True)
@@ -169,17 +187,69 @@ def conjugate_gradient(matvec, rhs: np.ndarray, tol: float = CG_TOL_DEFAULT,
 
 
 class CgSlot:
-    """One correction pass's last CG solution, the start of its next solve.
+    """One correction pass's CG history for a run, and its predicted start.
 
-    `u` is None until the first solve stores its solution. The stored
-    array is the one `conjugate_gradient` returned; nothing writes it
-    afterwards, and the next solve starts from a copy of it.
+    `at(t)` sets the time of the next solve, `start()` predicts its
+    solution (None before the first solve: start from zero) and
+    `store(u)` records the solution. A solve is an accepted state when it
+    is the slot's first or repeats the previous solve's time; its
+    solution joins `times`/`states` (the last CG_HISTORY accepted
+    states), and when the previous solve was the stage at that time,
+    `offset` becomes that stage's solution minus this one, measured at
+    step `offset_h`. Stored arrays are the ones `conjugate_gradient`
+    returned and are never written; at most CG_HISTORY + 2 are held.
     """
 
-    __slots__ = ("u",)
+    __slots__ = ("t", "t_last", "u", "times", "states", "offset", "offset_h")
 
     def __init__(self):
+        self.t = None
+        self.t_last = None
         self.u = None
+        self.times = []
+        self.states = []
+        self.offset = None
+        self.offset_h = 0.0
+
+    def at(self, t: float) -> CgSlot:
+        self.t = t
+        return self
+
+    def start(self):
+        t, times = self.t, self.times
+        if t == self.t_last:
+            if self.offset is None:
+                return self.u
+            return self.u - self.offset * ((t - times[-1]) / self.offset_h) ** 2
+        n = len(times)
+        if n < 2:
+            return self.u
+        nodes = range(n) if n == CG_HISTORY else range(n - 2, n)
+        x = None
+        for i in nodes:
+            w = 1.0
+            for j in nodes:
+                if j != i:
+                    w *= (t - times[j]) / (times[i] - times[j])
+            term = self.states[i] * w
+            x = term if x is None else np.add(x, term, out=x)
+        return x
+
+    def store(self, u: np.ndarray) -> None:
+        t, times = self.t, self.times
+        if self.u is None or t == self.t_last:
+            if times and times[-1] == t:
+                self.states[-1] = u
+            else:
+                if self.u is not None:
+                    self.offset = self.u - u
+                    self.offset_h = t - times[-1]
+                times.append(t)
+                self.states.append(u)
+                if len(times) > CG_HISTORY:
+                    del times[0], self.states[0]
+        self.t_last = t
+        self.u = u
 
 
 def _inner_vector_cg(op, residual, sigma_y: float, r2: float,
@@ -197,8 +267,9 @@ def _inner_vector_cg(op, residual, sigma_y: float, r2: float,
     if slot is None:
         u = conjugate_gradient(matvec, residual, tol=tol, max_iter=max_iter)
     else:
-        u = slot.u = conjugate_gradient(matvec, residual, tol=tol, max_iter=max_iter,
-                                        x0=slot.u)
+        u = conjugate_gradient(matvec, residual, tol=tol, max_iter=max_iter,
+                               x0=slot.start())
+        slot.store(u)
     return op.adjoint(u)
 
 
@@ -208,8 +279,9 @@ def inner_vector(op: LinearOperatorDescriptor, residual, sigma_y: float, r2: flo
 
     The closed form divides in the operator's eigenbasis of A A^T; a
     ConjugateGradientSolver solves the system iteratively instead, from
-    zero, or, given a CgSlot, from the slot's last solution, which it
-    then replaces. The closed form ignores the slot.
+    zero, or, given a CgSlot set to the solve's time, from the slot's
+    predicted start, and records the solution in the slot. The closed
+    form ignores the slot.
     """
     residual = as_field(residual)
     if isinstance(solver, ConjugateGradientSolver):
@@ -245,7 +317,7 @@ def _corrected_velocity(spec: GuidanceSpec, field: VectorFieldSpec, b, y: np.nda
     g = t / (1.0 - t)
     v = v_uncond
     for k in range(1 if spec.literal_update else spec.k_steps):
-        slot = None if slots is None else slots[k]
+        slot = None if slots is None else slots[k].at(t)
         grad = _gradient_at_mean(spec, field, b, y, z - t * v, t, slot)
         v = v_uncond - g * grad
     return v
@@ -284,9 +356,12 @@ def make_velocity(spec: GuidanceSpec, field: VectorFieldSpec, dec: DecoderSpec,
     evaluation costs one forward and one inverse transform for any K. Buffer
     discipline: the residual and the final difference are formed in place
     on the fresh arrays apply_coeffs and adjoint_coeffs return; z and v_u
-    are never written. The conjugate-gradient solver runs the pass-by-pass
-    route on the same B, with one CgSlot per pass: each pass starts its
-    solve from its own solution at the previous evaluation.
+    are never written. The gain depends on t alone, so the closure keeps
+    the last (t, gain) and reuses it when Heun re-evaluates at its
+    previous stage's time; the kept array is never written. The
+    conjugate-gradient solver runs the pass-by-pass route on the same B,
+    with one CgSlot per pass: each pass starts its solve from the slot's
+    prediction out of its own accepted-state solutions (module docstring).
     """
     y = as_field(y)
     b = latent_operator(op, dec)
@@ -308,26 +383,33 @@ def make_velocity(spec: GuidanceSpec, field: VectorFieldSpec, dec: DecoderSpec,
     mean_jacobian = mean_jacobian_fn(field)
     cov = posterior_cov_fn(spec.cov_mode, field)
 
-    def gain_at(t: float, gc: float):
+    last_t = None
+    last_gain = None
+
+    def gain_at(t: float):
         # g c (1 - mu + ... +- mu^(K-1)) / d with mu = t lambda (g c / d),
-        # the series in Horner form; its temporaries die on return.
-        gain = gc / (sy2 + cov(t) * lam)
+        # the series in Horner form; its temporaries die on return. The last
+        # gain is kept for a repeated t and never written.
+        nonlocal last_t, last_gain
+        if t == last_t:
+            return last_gain
+        gain = (t / (1.0 - t)) * mean_jacobian(t) / (sy2 + cov(t) * lam)
         if passes > 1:
             mu = (t * lam) * gain
             series = 1.0 - mu
             for _ in range(passes - 2):
                 series = 1.0 - mu * series
             gain *= series
+        last_t, last_gain = t, gain
         return gain
 
     def velocity(z, t: float) -> RealField:
         v_uncond = field_velocity(z, t)
-        g = t / (1.0 - t)
         # gain (y_hat - B_hat z_bar), in place on the fresh array apply_coeffs
         # returns, then v_u minus its adjoint, in place on the adjoint's output.
         w = apply_coeffs(z - t * v_uncond)
         np.subtract(y_hat, w, out=w)
-        w *= gain_at(t, g * mean_jacobian(t))
+        w *= gain_at(t)
         u = adjoint_coeffs(w)
         return np.subtract(v_uncond, u, out=u)
 

@@ -25,6 +25,7 @@ from lflow.fields import (
     CallbackField,
     CovarianceMode,
     eval_field,
+    mean_jacobian_scalar,
     posterior_cov_scalar,
     posterior_mean,
 )
@@ -398,6 +399,89 @@ def test_warm_cg_runs_share_no_state():
     assert traj_a1.nfe == traj_a2.nfe
 
 
+def heun_shaped_calls(velocity, z, steps, t=0.8):
+    """Drive velocity like an adaptive Heun run; return every (z, t) it saw.
+
+    steps holds (h, accepted) pairs: each evaluates the stage at t + h from
+    the current first stage, and an accepted step re-evaluates at the Heun
+    state there, as `lflow.sampler` does.
+    """
+    calls = [(z, t)]
+    k1 = velocity(z, t)
+    for h, accepted in steps:
+        z_euler = z + h * k1
+        calls.append((z_euler, t + h))
+        k2 = velocity(z_euler, t + h)
+        if accepted:
+            z, t = z + 0.5 * h * (k1 + k2), t + h
+            calls.append((z, t))
+            k1 = velocity(z, t)
+    return calls
+
+
+def restart_velocity(spec, field, op, y):
+    """The CG velocity whose passes restart from their previous solutions."""
+    previous = [None] * spec.k_steps
+    sy2 = spec.sigma_y * spec.sigma_y
+
+    def velocity(z, t):
+        v_uncond = eval_field(field, z, t)
+        r2 = posterior_cov_scalar(spec.cov_mode, t, field)
+
+        def matvec(u):
+            out = op.gram(u)
+            out *= r2
+            out += sy2 * u
+            return out
+
+        v = v_uncond
+        for k in range(spec.k_steps):
+            previous[k] = conjugate_gradient(matvec, y - op.apply(z - t * v),
+                                             x0=previous[k])
+            grad = mean_jacobian_scalar(field, t) * op.adjoint(previous[k])
+            v = v_uncond - t / (1.0 - t) * grad
+        return v
+    return velocity
+
+
+def test_predicted_cg_start_tracks_the_cold_reference_with_fewer_matvecs(monkeypatch):
+    # Same-time re-evaluations, a rejected stage and its shorter retry, and
+    # enough accepted states for the linear and then the cubic prediction.
+    op, y, z = cg_problem(36)
+    field = AnalyticGaussianField(sigma_latr=0.5)
+    dec = IdentityDecoder(op.input_shape)
+    spec = GuidanceSpec(sigma_y=0.05, solver=ConjugateGradientSolver())
+    steps = [(-0.02, True), (-0.02, True), (-0.03, True), (-0.05, False),
+             (-0.025, True), (-0.02, True), (-0.02, True)]
+    calls = count_grams(monkeypatch, CircConvOperator)
+    predicted = make_velocity(spec, field, dec, op, y)
+    outputs = []
+
+    def recorded(zi, t):
+        outputs.append(predicted(zi, t))
+        return outputs[-1]
+
+    states = heun_shaped_calls(recorded, z, steps)
+    predicted_grams = len(calls)
+    calls.clear()
+    restart = restart_velocity(spec, field, op, y)
+    for zi, t in states:
+        restart(zi, t)
+    restart_grams = len(calls)
+    for (zi, t), got in zip(states, outputs):
+        want = corrected_velocity(spec, field, dec, op, y, zi, t)
+        err = float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
+        assert err < 1e-9, (t, err)
+    assert predicted_grams < restart_grams, (predicted_grams, restart_grams)
+    # More evaluations at the last accepted time keep one history node
+    # there, so the next extrapolation still has distinct nodes.
+    t_last = states[-1][1]
+    for zi, t in ((z, t_last), (2.0 * z, t_last), (z, t_last - 0.02)):
+        want = corrected_velocity(spec, field, dec, op, y, zi, t)
+        err = float(np.max(np.abs(predicted(zi, t) - want))) / float(np.max(np.abs(want)))
+        assert err < 1e-9, (t, err)
+
+
 def test_cg_velocity_at_64_squared_pigdm_with_a_larger_iteration_cap():
     # The gaussian-deblur preset at 64^2 has A A^T eigenvalues from 1.4e-14
     # to 1, so in pigdm mode the first (cold) solve at t_s needs about 607
@@ -725,6 +809,37 @@ def test_fused_velocity_at_256_squared_matches_the_generic_path(op_kind, k_steps
         err = float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
         assert err < 1e-12, (t, err)
         assert np.array_equal(velocity(z, t), got)
+
+
+@pytest.mark.parametrize("k_steps", [1, 2])
+@pytest.mark.parametrize("op_kind", ["mask", "circconv", "convdown"])
+def test_closed_form_gain_is_built_once_per_time(op_kind, k_steps, monkeypatch):
+    real_cov_fn = lflow.guidance.posterior_cov_fn
+    cov_times = []
+
+    def counting_cov_fn(mode, field):
+        cov = real_cov_fn(mode, field)
+
+        def counted(t):
+            cov_times.append(t)
+            return cov(t)
+        return counted
+
+    monkeypatch.setattr(lflow.guidance, "posterior_cov_fn", counting_cov_fn)
+    rng = make_rng(40)
+    op = make_operator(op_kind, rng)
+    field = AnalyticGaussianField(sigma_latr=0.5)
+    dec = IdentityDecoder(op.input_shape)
+    y = rng.normal(size=op.output_shape)
+    z1, z2 = rng.normal(size=(2,) + op.input_shape)
+    spec = GuidanceSpec(sigma_y=0.05, k_steps=k_steps)
+    velocity = make_velocity(spec, field, dec, op, y)
+    velocity(z1, 0.6)
+    got = velocity(z2, 0.6)
+    assert cov_times == [0.6]
+    assert np.array_equal(got, make_velocity(spec, field, dec, op, y)(z2, 0.6))
+    velocity(z2, 0.5)
+    assert cov_times == [0.6, 0.6, 0.5]
 
 
 def test_fused_path_honors_the_literal_update_flag():

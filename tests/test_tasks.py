@@ -184,6 +184,23 @@ def test_cg_guidance_reconstructs_like_the_closed_form(kind):
     assert np.max(np.abs(cg - closed)) <= 1e-9
 
 
+@pytest.mark.parametrize("passes", [{"k_steps": 1}, {"k_steps": 3},
+                                    {"literal_update": True}])
+@pytest.mark.parametrize("stepper", [{"ode_solver": "adaptive"},
+                                     {"ode_solver": "heun", "steps": 20},
+                                     {"ode_solver": "euler", "steps": 20}])
+def test_cg_guidance_matches_the_closed_form_under_every_stepper(stepper, passes):
+    # The CG start is predicted from the stepper's call pattern (which
+    # solves sit at accepted states), so each stepper and pass count is run.
+    cfg = default_task_config("gaussian-deblur", size=16, seed=3, **stepper, **passes)
+    y = degrade(cfg)
+    closed, closed_report = reconstruct(cfg, y)
+    cg, cg_report = reconstruct(replace(cfg, guidance_solver="cg"), y)
+    assert closed_report.ok and cg_report.ok
+    assert cg_report.nfe == closed_report.nfe
+    assert np.max(np.abs(cg - closed)) <= 1e-9
+
+
 def test_degrade_is_reproducible_at_a_seed_offset():
     cfg = default_task_config("gaussian-deblur", size=16, seed=5)
     y1 = degrade(cfg)
