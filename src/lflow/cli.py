@@ -30,7 +30,7 @@ from .config import parse_config_file
 from .errors import ConfigError, LflowError
 from .fields import COV_MODE_KINDS
 from .imageio import write_image
-from .operators import MaskOperator, block_downsample_check
+from .operators import block_downsample_check
 from .oracle import run_oracle_checks
 from .report import write_reports_csv, write_reports_json
 from .tasks import (
@@ -99,10 +99,8 @@ def _out_dir(cfg: TaskConfig) -> str:
 
 def _measurement_field(cfg: TaskConfig, y):
     """Measurements as a writable image (masks are zero-filled back)."""
-    op, _ = cfg.build_operator()
-    if isinstance(op, MaskOperator):
-        return op.adjoint(y)
-    return y
+    op, mask = cfg.build_operator()
+    return y if mask is None else op.adjoint(y)
 
 
 def _write_reports(cfg: TaskConfig, reports, path_base: str) -> str:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError, ZeroScaleError
-from .numerics import RealField, as_field
+from .numerics import RealField, as_field, check_shape
 from .operators import DenseOperator, LinearOperatorDescriptor
 
 ENCODE_RIDGE = 1e-10
@@ -101,16 +101,9 @@ class LinearMatrixDecoder:
 DecoderSpec = IdentityDecoder | DiagonalScaleDecoder | LinearMatrixDecoder
 
 
-def _check(name: str, x, shape: tuple) -> np.ndarray:
-    arr = as_field(x)
-    if arr.shape != shape:
-        raise ShapeMismatchError(f"{name}: expected shape {shape}, got {arr.shape}")
-    return arr
-
-
 def decode(decoder: DecoderSpec, latent) -> RealField:
     """Map a latent state to its pixel field."""
-    z = _check("decode", latent, decoder.latent_shape)
+    z = check_shape("decode", latent, decoder.latent_shape)
     if isinstance(decoder, IdentityDecoder):
         return z.copy()
     if isinstance(decoder, DiagonalScaleDecoder):
@@ -124,7 +117,7 @@ def encode(decoder: DecoderSpec, field) -> RealField:
     Solves (J^T J + 1e-10 I) c = J^T x, which is exact inversion for the
     identity and scaling decoders up to the negligible ridge.
     """
-    x = _check("encode", field, decoder.field_shape)
+    x = check_shape("encode", field, decoder.field_shape)
     if isinstance(decoder, IdentityDecoder):
         return x / (1.0 + ENCODE_RIDGE)
     if isinstance(decoder, DiagonalScaleDecoder):

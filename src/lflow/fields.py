@@ -18,8 +18,9 @@ which for the Gaussian field reproduce the exact conditional moments
 s2 = (1-t)^2 sigma^2 + t^2.
 
 External (learned) fields plug in through `CallbackField`; their covariance
-must come from a CovarianceMode since nothing here differentiates a black
-box.
+comes from a CovarianceMode evaluated at the field's surrogate sigma, since
+nothing here differentiates a black box. Every mode takes the field: lflow
+reads its sigma, and the other three ignore it.
 """
 
 from __future__ import annotations
@@ -123,22 +124,19 @@ class CovarianceMode:
     kind selects the formula (the names double as the CLI vocabulary):
 
     * ``lflow``: exact conditional variance of the Gaussian-prior field,
-      t^2 s^2 / ((1-t)^2 s^2 + t^2) with s = sigma_latr (taken from the
-      field unless overridden here). This is also the Cramer-Rao equality
-      case (gamma + (1-t)^2/t^2)^(-1) at gamma = s^(-2).
+      t^2 s^2 / ((1-t)^2 s^2 + t^2) with s the field's sigma_latr (its
+      surrogate for a callback field). This is also the Cramer-Rao
+      equality case (gamma + (1-t)^2/t^2)^(-1) at gamma = s^(-2).
     * ``eq17``: a unit-prior-scale variant,
       t^2 ((1-t)(1-2t) + 2t^2) / ((1-t)((1-t)^2 + t^2)). Kept for ablation
       comparisons; it agrees with lflow at t = 0.5 but not elsewhere, and
       grows without bound as t -> 1, so callers evaluate it at clamped t.
-    * ``pigdm``: the data-prior heuristic
-      sigma_data^2 t^2 / ((1-t)^2 sigma_data^2 + t^2), which depends only
-      on the path, not on the field.
+    * ``pigdm``: the prior-agnostic pseudoinverse-guidance profile, the
+      lflow formula at s = 1 whatever the field's scale.
     * ``zero``: no covariance (hard data-consistency style guidance).
     """
 
     kind: str = "lflow"
-    sigma_data: float = 1.0
-    sigma_latr: float | None = None
 
     def __post_init__(self):
         if self.kind not in COV_MODE_KINDS:
@@ -146,38 +144,20 @@ class CovarianceMode:
                 f"unknown covariance mode {self.kind!r}; "
                 f"expected one of {COV_MODE_KINDS}"
             )
-        if self.sigma_data <= 0:
-            raise ValueError(f"sigma_data must be > 0, got {self.sigma_data}")
 
 
-def posterior_cov_fn(
-    mode: CovarianceMode, field: VectorFieldSpec | None = None
-) -> Callable[[float], float]:
+def posterior_cov_fn(mode: CovarianceMode, field: VectorFieldSpec) -> Callable[[float], float]:
     """posterior_cov_scalar(mode, t, field) as a function of t alone, with
     the kind and the prior scale resolved once."""
     if mode.kind == "zero":
         return lambda t: 0.0
-    if mode.kind == "pigdm":
-        sd2 = mode.sigma_data**2
-
-        def r2(t: float) -> float:
-            om = 1.0 - t
-            return sd2 * t * t / (om * om * sd2 + t * t)
-
-        return r2
     if mode.kind == "eq17":
         def r2(t: float) -> float:
             om = 1.0 - t
             return t * t * (om * (1.0 - 2.0 * t) + 2.0 * t * t) / (om * (om * om + t * t))
 
         return r2
-    # lflow
-    if mode.sigma_latr is not None:
-        s2 = mode.sigma_latr**2
-    elif field is not None:
-        s2 = field_sigma_latr(field) ** 2
-    else:
-        s2 = 1.0
+    s2 = 1.0 if mode.kind == "pigdm" else field_sigma_latr(field) ** 2
 
     def r2(t: float) -> float:
         om = 1.0 - t
@@ -186,9 +166,7 @@ def posterior_cov_fn(
     return r2
 
 
-def posterior_cov_scalar(
-    mode: CovarianceMode, t: float, field: VectorFieldSpec | None = None
-) -> float:
+def posterior_cov_scalar(mode: CovarianceMode, t: float, field: VectorFieldSpec) -> float:
     """Evaluate the covariance mode at time t (see CovarianceMode)."""
     return posterior_cov_fn(mode, field)(float(t))
 

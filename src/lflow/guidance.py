@@ -120,15 +120,13 @@ class GuidanceSpec:
     k_steps is the number of correction passes per velocity evaluation.
     Each pass recomputes the denoised mean from the current corrected
     velocity before re-evaluating the gradient, so passes beyond the
-    first actually move. literal_update=True repeats the single-pass
-    update instead, which is idempotent, so it runs one pass (K = 1).
+    first actually move; K = 1 is the exact conditional velocity.
     """
 
     cov_mode: CovarianceMode = CovarianceMode()
     solver: SolverSpec = ClosedFormSolver()
     sigma_y: float = 0.01
     k_steps: int = 2
-    literal_update: bool = False
 
     def __post_init__(self):
         if self.sigma_y < 0:
@@ -316,7 +314,7 @@ def _corrected_velocity(spec: GuidanceSpec, field: VectorFieldSpec, b, y: np.nda
     v_uncond = eval_field(field, z, t)
     g = t / (1.0 - t)
     v = v_uncond
-    for k in range(1 if spec.literal_update else spec.k_steps):
+    for k in range(spec.k_steps):
         slot = None if slots is None else slots[k].at(t)
         grad = _gradient_at_mean(spec, field, b, y, z - t * v, t, slot)
         v = v_uncond - g * grad
@@ -327,9 +325,9 @@ def corrected_velocity(spec: GuidanceSpec, field: VectorFieldSpec, dec: DecoderS
                        op: LinearOperatorDescriptor, y, z, t: float) -> RealField:
     """Unconditional velocity minus t/(1-t) times the likelihood gradient.
 
-    The generic reference path. Runs spec.k_steps correction passes (one
-    when literal_update is set); pass k re-derives the denoised mean from
-    the velocity produced by pass k-1 and rebuilds the gradient there.
+    The generic reference path. Runs spec.k_steps correction passes; pass
+    k re-derives the denoised mean from the velocity produced by pass k-1
+    and rebuilds the gradient there.
     """
     return _corrected_velocity(spec, field, latent_operator(op, dec), as_field(y), z, t)
 
@@ -339,10 +337,10 @@ def make_velocity(spec: GuidanceSpec, field: VectorFieldSpec, dec: DecoderSpec,
     """Build velocity(z, t) with per-run constants hoisted out of the loop.
 
     B = latent_operator(op, dec) is built once here. With the closed-form
-    solver the K passes of corrected_velocity collapse into one per-mode
-    multiplier. In B's basis, with d = sigma_y^2 + r2 lambda, pass one
-    gives w = (y_hat - B_hat z_bar) / d at z_bar = z - t v_u, and pass k
-    gives w (1 - mu + ... + (-mu)^(k-1)) with mu = g t c lambda / d,
+    solver the K = spec.k_steps passes of corrected_velocity collapse into
+    one per-mode multiplier. In B's basis, with d = sigma_y^2 + r2 lambda,
+    pass one gives w = (y_hat - B_hat z_bar) / d at z_bar = z - t v_u, and
+    pass k gives w (1 - mu + ... + (-mu)^(k-1)) with mu = g t c lambda / d,
     because B B^T acts as lambda on each mode. The K-pass velocity is
     therefore
 
@@ -365,7 +363,7 @@ def make_velocity(spec: GuidanceSpec, field: VectorFieldSpec, dec: DecoderSpec,
     """
     y = as_field(y)
     b = latent_operator(op, dec)
-    passes = 1 if spec.literal_update else spec.k_steps
+    passes = spec.k_steps
     if not isinstance(spec.solver, ClosedFormSolver):
         slots = [CgSlot() for _ in range(passes)]
 

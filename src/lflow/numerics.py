@@ -37,11 +37,16 @@ ComplexSpectrum = np.ndarray
 SeededRng = np.random.Generator
 
 
-def as_field(x, shape: tuple | None = None) -> RealField:
-    """Coerce to a float64 array, optionally enforcing a shape."""
-    arr = np.asarray(x, dtype=np.float64)
-    if shape is not None and arr.shape != tuple(shape):
-        raise ShapeMismatchError(f"expected shape {tuple(shape)}, got {arr.shape}")
+def as_field(x) -> RealField:
+    """Coerce to a float64 array."""
+    return np.asarray(x, dtype=np.float64)
+
+
+def check_shape(name: str, x, shape: tuple) -> RealField:
+    """x as a float64 array of exactly the given shape; the error names x."""
+    arr = as_field(x)
+    if arr.shape != tuple(shape):
+        raise ShapeMismatchError(f"{name}: expected shape {tuple(shape)}, got {arr.shape}")
     return arr
 
 

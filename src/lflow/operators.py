@@ -55,7 +55,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionGuardError, ShapeMismatchError
-from .numerics import as_field, dft2_forward, dft2_inverse, make_rng
+from .numerics import as_field, check_shape, dft2_forward, dft2_inverse, make_rng
 
 DENSE_MATERIALIZE_LIMIT = 4096
 
@@ -96,13 +96,6 @@ def embed_kernel(kernel: Kernel, shape: tuple[int, int]) -> np.ndarray:
     return np.roll(padded, (-ci, -cj), axis=(0, 1))
 
 
-def _check_shape(name: str, x: np.ndarray, shape: tuple) -> np.ndarray:
-    arr = as_field(x)
-    if arr.shape != tuple(shape):
-        raise ShapeMismatchError(f"{name}: expected shape {tuple(shape)}, got {arr.shape}")
-    return arr
-
-
 class MaskOperator:
     """Selects the entries where the mask is 1; output is a flat vector.
 
@@ -127,11 +120,11 @@ class MaskOperator:
         self.output_shape = (int(self._idx.size),)
 
     def apply(self, x) -> np.ndarray:
-        x = _check_shape("mask apply", x, self.input_shape)
+        x = check_shape("mask apply", x, self.input_shape)
         return x.ravel()[self._idx]
 
     def adjoint(self, y) -> np.ndarray:
-        y = _check_shape("mask adjoint", y, self.output_shape)
+        y = check_shape("mask adjoint", y, self.output_shape)
         out = np.zeros(self.mask.size, dtype=np.float64)
         out[self._idx] = y
         return out.reshape(self.input_shape)
@@ -146,7 +139,7 @@ class MaskOperator:
         return self.adjoint(w)
 
     def gram(self, u) -> np.ndarray:
-        return _check_shape("mask gram", u, self.output_shape).copy()
+        return check_shape("mask gram", u, self.output_shape).copy()
 
     def lift(self, y) -> np.ndarray:
         return self.adjoint(y)
@@ -170,10 +163,10 @@ class CircConvOperator:
         self.gram_eigenvalues = np.abs(self.khat) ** 2
 
     def coeffs(self, y) -> np.ndarray:
-        return dft2_forward(_check_shape("circconv coeffs", y, self.output_shape))
+        return dft2_forward(check_shape("circconv coeffs", y, self.output_shape))
 
     def apply_coeffs(self, x) -> np.ndarray:
-        x = _check_shape("circconv apply", x, self.input_shape)
+        x = check_shape("circconv apply", x, self.input_shape)
         return self.khat * dft2_forward(x)
 
     def adjoint_coeffs(self, w) -> np.ndarray:
@@ -279,10 +272,10 @@ class ConvDownsampleOperator:
         return tiled
 
     def coeffs(self, y) -> np.ndarray:
-        return dft2_forward(_check_shape("convdown coeffs", y, self.output_shape))
+        return dft2_forward(check_shape("convdown coeffs", y, self.output_shape))
 
     def apply_coeffs(self, x) -> np.ndarray:
-        x = _check_shape("convdown apply", x, self.input_shape)
+        x = check_shape("convdown apply", x, self.input_shape)
         return self._fold(self.khat * dft2_forward(x))
 
     def adjoint_coeffs(self, w) -> np.ndarray:
@@ -293,7 +286,7 @@ class ConvDownsampleOperator:
         return dft2_inverse(np.multiply(self._khat_conj, tiled, out=tiled), self.input_shape)
 
     def apply(self, x) -> np.ndarray:
-        x = _check_shape("convdown apply", x, self.input_shape)
+        x = check_shape("convdown apply", x, self.input_shape)
         blurred = dft2_inverse(self.khat * dft2_forward(x), self.input_shape)
         return blurred[:: self.factor, :: self.factor].copy()
 
@@ -341,11 +334,11 @@ class DenseOperator:
         self.output_shape = output_shape
 
     def apply(self, x) -> np.ndarray:
-        x = _check_shape("dense apply", x, self.input_shape)
+        x = check_shape("dense apply", x, self.input_shape)
         return (self.matrix @ x.ravel()).reshape(self.output_shape)
 
     def adjoint(self, y) -> np.ndarray:
-        y = _check_shape("dense adjoint", y, self.output_shape)
+        y = check_shape("dense adjoint", y, self.output_shape)
         return (self.matrix.T @ y.ravel()).reshape(self.input_shape)
 
     @cached_property

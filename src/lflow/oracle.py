@@ -106,12 +106,9 @@ def _cov_scalar(mode: CovarianceMode, t: float, prior_std: float) -> float:
     if mode.kind == "zero":
         return 0.0
     om = 1.0 - t
-    if mode.kind == "pigdm":
-        sd2 = mode.sigma_data**2
-        return sd2 * t * t / (om * om * sd2 + t * t)
     if mode.kind == "eq17":
         return t * t * (om * (1.0 - 2.0 * t) + 2.0 * t * t) / (om * (om * om + t * t))
-    s2 = (mode.sigma_latr if mode.sigma_latr is not None else prior_std) ** 2
+    s2 = 1.0 if mode.kind == "pigdm" else prior_std**2
     return t * t * s2 / (om * om * s2 + t * t)
 
 

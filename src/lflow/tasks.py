@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import config_hash
+from .config import CONFIG_SCHEMA, config_hash
 from .decoders import DiagonalScaleDecoder, IdentityDecoder, decode
 from .errors import ConfigError, ImageFormatError, LflowError, ZeroScaleError
 from .fields import AnalyticGaussianField, COV_MODE_KINDS, CovarianceMode
@@ -58,40 +58,11 @@ SYNTHETIC_MIN_SIZE = 4
 # degrade generator runs at a fixed offset from the run seed.
 DEGRADE_SEED_OFFSET = 1_000_003
 
-# (section, key) in the config grammar -> TaskConfig attribute.
-_FIELD_MAP = {
-    ("task", "kind"): "kind",
-    ("task", "size"): "size",
-    ("task", "kernel_size"): "kernel_size",
-    ("task", "kernel_std"): "kernel_std",
-    ("task", "kernel_angle"): "kernel_angle",
-    ("task", "kernel_length"): "kernel_length",
-    ("task", "sr_factor"): "sr_factor",
-    ("task", "box_size"): "box_size",
-    ("task", "sigma_y"): "sigma_y",
-    ("task", "image"): "image",
-    ("prior", "sigma_latr"): "sigma_latr",
-    ("prior", "decoder_kind"): "decoder_kind",
-    ("prior", "decoder_scale"): "decoder_scale",
-    ("guidance", "cov_mode"): "cov_mode",
-    ("guidance", "k_steps"): "k_steps",
-    ("guidance", "solver"): "guidance_solver",
-    ("guidance", "cg_tol"): "cg_tol",
-    ("guidance", "cg_max_iter"): "cg_max_iter",
-    ("guidance", "literal_update"): "literal_update",
-    ("sampler", "solver"): "ode_solver",
-    ("sampler", "t_s"): "t_s",
-    ("sampler", "atol"): "atol",
-    ("sampler", "rtol"): "rtol",
-    ("sampler", "steps"): "steps",
-    ("sampler", "h_init"): "h_init",
-    ("sampler", "h_min"): "h_min",
-    ("sampler", "max_steps"): "max_steps",
-    ("sampler", "init_mode"): "init_mode",
-    ("sampler", "seed"): "seed",
-    ("run", "out_dir"): "out_dir",
-    ("run", "report_format"): "report_format",
-}
+# (section, key) in the config grammar -> TaskConfig attribute: the key
+# itself, except for the two keys both named `solver`.
+_RENAMED = {("guidance", "solver"): "guidance_solver", ("sampler", "solver"): "ode_solver"}
+_FIELD_MAP = {(section, key): _RENAMED.get((section, key), key)
+              for section, keys in CONFIG_SCHEMA.items() for key in keys}
 _CONFIG_KEY = {attr: f"[{section}] {key}" for (section, key), attr in _FIELD_MAP.items()}
 
 
@@ -99,8 +70,9 @@ _CONFIG_KEY = {attr: f"[{section}] {key}" for (section, key), attr in _FIELD_MAP
 class TaskConfig:
     """Flat run configuration; see the module docstring and config grammar.
 
-    h_init = 0 means automatic (span / 50). Defaults here are the shared
-    base; `default_task_config` applies the per-task tolerance presets.
+    h_init = 0 means automatic (span / 50). literal_update = true builds a
+    one-pass (K = 1) guidance whatever k_steps holds. Defaults here are the
+    shared base; `default_task_config` applies the per-task tolerance presets.
     """
 
     kind: str = "gaussian-deblur"
@@ -160,6 +132,7 @@ class TaskConfig:
         for attr, ok, rule in (
             ("sigma_y", self.sigma_y >= 0.0, ">= 0"),
             ("sigma_latr", self.sigma_latr > 0.0, "> 0"),
+            ("k_steps", self.k_steps >= 1, ">= 1"),
             ("kernel_std", self.kind != "gaussian-deblur" or (std > 0.0 and std * std > 0.0),
              "> 0 with a square that does not underflow"),
             ("kernel_size", not deblur or (self.kernel_size >= 1 and self.kernel_size % 2),
@@ -249,8 +222,7 @@ class TaskConfig:
             cov_mode=CovarianceMode(kind=self.cov_mode),
             solver=solver,
             sigma_y=self.sigma_y,
-            k_steps=self.k_steps,
-            literal_update=self.literal_update,
+            k_steps=1 if self.literal_update else self.k_steps,
         )
 
     def build_sampler(self) -> SamplerConfig:

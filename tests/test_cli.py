@@ -146,6 +146,7 @@ def test_unknown_config_key_exits_with_a_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("text,blamed", [
     ("[guidance]\nk_steps = 0\n", "[guidance] k_steps"),
+    ("[guidance]\nk_steps = 0\nliteral_update = true\n", "[guidance] k_steps"),
     ("[task]\nkind = box-inpaint\nbox_size = 80\n", "[task]"),
     ("[guidance]\ncov_mode = bogus\n", "[guidance] cov_mode"),
     ("[task]\nkind = box-inpaint\nsize = 16\nbox_size = 17\n", "[task] box_size"),
@@ -173,11 +174,11 @@ def test_unknown_config_key_exits_with_a_usage_error(tmp_path, capsys):
     ("[guidance]\ncg_max_iter = 0\nsolver = cg\n", "[guidance] cg_max_iter"),
     ("[task]\nimage = no-such-file.pgm\n", "[task] image"),
     ("[sampler]\nseed = -1\n", "[sampler] seed"),
-], ids=["k_steps", "box_size", "cov_mode", "box_size_key", "gaussian_kernel_size",
-        "motion_kernel_size", "sr_factor", "sr_kernel_too_big", "kernel_length",
-        "singular_system", "scale_nan", "scale_inf", "scale_zero", "sigma_latr_nan",
-        "sigma_y_nan", "sigma_latr_zero", "sigma_latr_negative", "size_2", "size_3",
-        "sigma_y_negative", "kernel_std_negative", "kernel_std_underflow",
+], ids=["k_steps", "k_steps_literal", "box_size", "cov_mode", "box_size_key",
+        "gaussian_kernel_size", "motion_kernel_size", "sr_factor", "sr_kernel_too_big",
+        "kernel_length", "singular_system", "scale_nan", "scale_inf", "scale_zero",
+        "sigma_latr_nan", "sigma_y_nan", "sigma_latr_zero", "sigma_latr_negative", "size_2",
+        "size_3", "sigma_y_negative", "kernel_std_negative", "kernel_std_underflow",
         "kernel_size_even", "cg_tol_zero", "cg_max_iter_zero", "image_missing",
         "seed_negative"])
 def test_bad_config_values_exit_with_a_usage_error(tmp_path, capsys, text, blamed):

@@ -94,7 +94,7 @@ def test_covariance_table_at_pinned_times():
     field = AnalyticGaussianField(sigma_latr=1.0)
     lflow = CovarianceMode(kind="lflow")
     eq17 = CovarianceMode(kind="eq17")
-    pigdm = CovarianceMode(kind="pigdm", sigma_data=1.0)
+    pigdm = CovarianceMode(kind="pigdm")
     assert posterior_cov_scalar(lflow, 0.5, field) == pytest.approx(0.5, abs=1e-12)
     assert posterior_cov_scalar(eq17, 0.5, field) == pytest.approx(0.5, abs=1e-12)
     assert posterior_cov_scalar(lflow, 0.25, field) == pytest.approx(0.1, abs=1e-12)
@@ -112,17 +112,18 @@ def test_all_modes_vanish_toward_the_data_end():
 def test_unit_width_matched_mode_coincides_with_the_forward_process_mode():
     field = AnalyticGaussianField(sigma_latr=1.0)
     lflow = CovarianceMode(kind="lflow")
-    pigdm = CovarianceMode(kind="pigdm", sigma_data=1.0)
+    pigdm = CovarianceMode(kind="pigdm")
     for t in T_GRID:
         a = posterior_cov_scalar(lflow, float(t), field)
         b = posterior_cov_scalar(pigdm, float(t), field)
-        assert abs(a - b) < 1e-15
+        assert a == b
 
 
 def test_zero_mode_is_identically_zero():
     mode = CovarianceMode(kind="zero")
+    field = AnalyticGaussianField(sigma_latr=0.5)
     for t in T_GRID:
-        assert posterior_cov_scalar(mode, float(t)) == 0.0
+        assert posterior_cov_scalar(mode, float(t), field) == 0.0
 
 
 @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
@@ -137,17 +138,17 @@ def test_matched_covariance_equals_the_information_bound(sigma):
         assert abs(posterior_cov_scalar(mode, float(t), field) - bound) < 1e-12
 
 
-def test_covariance_mode_without_field_uses_its_own_width():
-    mode = CovarianceMode(kind="lflow", sigma_latr=2.0)
-    field = AnalyticGaussianField(sigma_latr=0.5)
-    # The mode's explicit width wins over the field's.
-    expected = exact_conditional_variance(2.0, 0.3)
-    assert posterior_cov_scalar(mode, 0.3, field) == pytest.approx(expected, abs=1e-15)
-    # With neither set, unit width is the default.
-    bare = CovarianceMode(kind="lflow")
-    assert posterior_cov_scalar(bare, 0.3) == pytest.approx(
-        exact_conditional_variance(1.0, 0.3), abs=1e-15
-    )
+def test_only_the_lflow_mode_reads_the_field_width():
+    # lflow takes its width from the field (the surrogate for a callback);
+    # pigdm, eq17 and zero give the same value whatever the field's width.
+    unit = AnalyticGaussianField(sigma_latr=1.0)
+    for field in (AnalyticGaussianField(sigma_latr=2.0),
+                  CallbackField(lambda z, t: z, surrogate_sigma_latr=2.0)):
+        lflow = posterior_cov_scalar(CovarianceMode(kind="lflow"), 0.3, field)
+        assert lflow == pytest.approx(exact_conditional_variance(2.0, 0.3), abs=1e-15)
+        for kind in ("pigdm", "eq17", "zero"):
+            mode = CovarianceMode(kind=kind)
+            assert posterior_cov_scalar(mode, 0.3, field) == posterior_cov_scalar(mode, 0.3, unit)
 
 
 def test_jacobian_bounds_pinned_values():
@@ -207,5 +208,3 @@ def test_field_rejects_nonpositive_width():
 def test_covariance_mode_validation():
     with pytest.raises(ValueError):
         CovarianceMode(kind="exact")
-    with pytest.raises(ValueError):
-        CovarianceMode(kind="pigdm", sigma_data=0.0)

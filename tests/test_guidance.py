@@ -330,16 +330,15 @@ def test_warm_cg_velocity_tracks_the_cold_reference():
     field = AnalyticGaussianField(sigma_latr=0.5)
     dec = IdentityDecoder(op.input_shape)
     step = make_rng(31).normal(size=z.shape)
-    for k_steps, literal in ((1, False), (2, False), (3, False), (2, True)):
-        spec = GuidanceSpec(sigma_y=0.05, k_steps=k_steps, literal_update=literal,
-                            solver=ConjugateGradientSolver())
+    for k_steps in (1, 2, 3):
+        spec = GuidanceSpec(sigma_y=0.05, k_steps=k_steps, solver=ConjugateGradientSolver())
         warm = make_velocity(spec, field, dec, op, y)
         for i, t in enumerate((0.8, 0.79, 0.77, 0.6, 0.62, 0.3, 0.05)):
             zi = z + 0.01 * i * step
             want = corrected_velocity(spec, field, dec, op, y, zi, t)
             got = warm(zi, t)
             err = float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
-            assert err < 1e-9, (k_steps, literal, t, err)
+            assert err < 1e-9, (k_steps, t, err)
 
 
 def test_warm_cg_velocity_needs_fewer_matvecs_at_a_nearby_time(monkeypatch):
@@ -369,14 +368,13 @@ def test_cg_velocity_makes_one_inner_vector_call_per_pass(monkeypatch):
     op, y, z = cg_problem(33, shape=(8, 8))
     field = AnalyticGaussianField(sigma_latr=0.5)
     dec = IdentityDecoder(op.input_shape)
-    for k_steps, literal, want in ((1, False, 1), (2, False, 2), (3, False, 3), (3, True, 1)):
-        spec = GuidanceSpec(sigma_y=0.05, k_steps=k_steps, literal_update=literal,
-                            solver=ConjugateGradientSolver())
+    for k_steps in (1, 2, 3):
+        spec = GuidanceSpec(sigma_y=0.05, k_steps=k_steps, solver=ConjugateGradientSolver())
         velocity = make_velocity(spec, field, dec, op, y)
         for t in (0.8, 0.7):
             passes.clear()
             velocity(z, t)
-            assert len(passes) == want, (k_steps, literal, t)
+            assert len(passes) == k_steps, t
 
 
 def test_warm_cg_runs_share_no_state():
@@ -659,21 +657,6 @@ def test_one_vs_two_passes_difference_norm_is_reported():
     assert np.isfinite(diff)
 
 
-def test_literal_repeated_update_is_idempotent():
-    rng = make_rng(13)
-    a = DenseOperator(rng.normal(size=(3, 4)))
-    field = AnalyticGaussianField(sigma_latr=0.9)
-    dec = IdentityDecoder((4,))
-    y = rng.normal(size=3)
-    z = rng.normal(size=4)
-    base = dict(cov_mode=CovarianceMode(kind="lflow"), sigma_y=0.1)
-    v1 = corrected_velocity(GuidanceSpec(k_steps=1, **base), field, dec, a, y, z, 0.6)
-    for k in (2, 3, 5):
-        spec = GuidanceSpec(k_steps=k, literal_update=True, **base)
-        vk = corrected_velocity(spec, field, dec, a, y, z, 0.6)
-        np.testing.assert_allclose(vk, v1, atol=1e-14)
-
-
 def test_second_pass_rescales_measurement_modes_by_the_derived_factor():
     rng = make_rng(14)
     a = rng.normal(size=(5, 8))
@@ -725,8 +708,8 @@ def make_decoder(kind, shape, rng):
 @pytest.mark.parametrize("dec_kind", ["identity", "scale", "matrix"])
 def test_fused_dense_velocity_matches_the_generic_path(dec_kind, monkeypatch):
     # The fused closure of make_velocity against the pass-by-pass
-    # reference, over all four operators, covariance modes, pass counts,
-    # update flavours and field kinds, for every decoder kind.
+    # reference, over all four operators, covariance modes, pass counts
+    # and field kinds, for every decoder kind.
     real_inner_vector = lflow.guidance.inner_vector
     passes = []
 
@@ -740,12 +723,7 @@ def test_fused_dense_velocity_matches_the_generic_path(dec_kind, monkeypatch):
         AnalyticGaussianField(sigma_latr=0.8),
         CallbackField(lambda z, t: np.sin(z) - t * z, surrogate_sigma_latr=0.8),
     )
-    # Non-default mode parameters check that the per-run mode dispatch
-    # honours them.
-    modes = [CovarianceMode(kind=kind) for kind in COV_MODE_KINDS] + [
-        CovarianceMode(kind="lflow", sigma_latr=0.5),
-        CovarianceMode(kind="pigdm", sigma_data=0.7),
-    ]
+    modes = [CovarianceMode(kind=kind) for kind in COV_MODE_KINDS]
     # The matrix decoder's unit-variance entries give B B^T eigenvalues up
     # to about 40, and the two routes round differently: in the worst case
     # here they differ by 1.8e-12, each within 1.6e-12 of a direct solve.
@@ -755,11 +733,8 @@ def test_fused_dense_velocity_matches_the_generic_path(dec_kind, monkeypatch):
         dec = make_decoder(dec_kind, op.input_shape, rng)
         y = rng.normal(size=op.output_shape)
         z = rng.normal(size=dec.latent_shape)
-        for field, mode, k_steps, literal in itertools.product(
-            fields, modes, (1, 2, 3, 5), (False, True)
-        ):
-            spec = GuidanceSpec(cov_mode=mode, sigma_y=0.1,
-                                k_steps=k_steps, literal_update=literal)
+        for field, mode, k_steps in itertools.product(fields, modes, (1, 2, 3, 5)):
+            spec = GuidanceSpec(cov_mode=mode, sigma_y=0.1, k_steps=k_steps)
             fused = make_velocity(spec, field, dec, op, y)
             for t in (0.1, 0.5, 0.9):
                 want = corrected_velocity(spec, field, dec, op, y, z, t)
@@ -767,7 +742,7 @@ def test_fused_dense_velocity_matches_the_generic_path(dec_kind, monkeypatch):
                 got = fused(z, t)
                 assert not passes, "the fused closure fell back to the per-pass route"
                 err = float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
-                assert err < tol, (op_kind, type(field).__name__, mode, k_steps, literal, t, err)
+                assert err < tol, (op_kind, type(field).__name__, mode, k_steps, t, err)
 
 
 def _read_only(arr):
@@ -840,19 +815,6 @@ def test_closed_form_gain_is_built_once_per_time(op_kind, k_steps, monkeypatch):
     assert np.array_equal(got, make_velocity(spec, field, dec, op, y)(z2, 0.6))
     velocity(z2, 0.5)
     assert cov_times == [0.6, 0.6, 0.5]
-
-
-def test_fused_path_honors_the_literal_update_flag():
-    rng = make_rng(16)
-    a = DenseOperator(rng.normal(size=(4, 6)))
-    field = AnalyticGaussianField(sigma_latr=1.0)
-    dec = IdentityDecoder((6,))
-    y = rng.normal(size=4)
-    spec = GuidanceSpec(sigma_y=0.05, k_steps=2, literal_update=True)
-    fast = make_velocity(spec, field, dec, a, y)
-    z = rng.normal(size=6)
-    want = corrected_velocity(spec, field, dec, a, y, z, 0.7)
-    np.testing.assert_allclose(fast(z, 0.7), want, atol=1e-7, rtol=1e-7)
 
 
 def test_make_velocity_generic_fallback_for_structured_operators():

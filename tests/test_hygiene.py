@@ -1,15 +1,19 @@
-"""Source hygiene checks that need no linter: every imported name is used.
+"""Source hygiene checks that need no linter.
 
-Each module of the package and of the test suite is parsed with `ast`. A
-name bound by an import statement (anywhere in the module) must be read
-somewhere in it: as a bare name, as the root of an attribute chain, or
-in `__all__`. `from __future__` imports and the package's `__init__.py`
-(whose imports are re-exports) are skipped.
+Every imported name is used: each module of the package and of the test
+suite is parsed with `ast`. A name bound by an import statement (anywhere
+in the module) must be read somewhere in it: as a bare name, as the root
+of an attribute chain, or in `__all__`. `from __future__` imports and the
+package's `__init__.py` (whose imports are re-exports) are skipped.
+
+Every name the benchmark's tracer looks up in the package by string
+exists, so a rename fails here and not only in a traced benchmark run.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -72,3 +76,21 @@ def test_the_checker_flags_only_unread_imports():
 def test_no_unused_imports(path):
     unused = unused_imports(path.read_text(encoding="utf-8"))
     assert not unused, ", ".join(f"line {line}: {name}" for line, name in unused)
+
+
+def test_every_name_the_benchmark_tracer_looks_up_exists():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    wanted = [(f"lflow.{short}", name) for short, names in tracer.TRACED_FUNCTIONS.items()
+              for name in names or ()]
+    wanted += [("lflow.operators", name) for name in tracer.OPERATOR_CLASSES]
+    wanted.append(("lflow.guidance", "make_velocity"))
+    missing = [f"{module}.{name}" for module, name in wanted
+               if not callable(getattr(importlib.import_module(module), name, None))]
+    operators = importlib.import_module("lflow.operators")
+    missing += [f"{cls}.{method}" for cls in tracer.OPERATOR_CLASSES
+                for method in tracer.OPERATOR_METHODS
+                if not callable(getattr(getattr(operators, cls, None), method, None))]
+    assert not missing, ", ".join(missing)

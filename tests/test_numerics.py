@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from lflow.errors import NonFiniteError, ShapeMismatchError
 from lflow.numerics import (
     as_field,
+    check_shape,
     dft2_forward,
     dft2_inverse,
     gaussian_vector,
@@ -30,9 +31,11 @@ def test_as_field_coerces_to_float64():
     assert out.shape == (2, 2)
 
 
-def test_as_field_enforces_requested_shape():
-    with pytest.raises(ShapeMismatchError):
-        as_field(np.zeros((2, 3)), shape=(3, 2))
+def test_check_shape_names_the_value_and_both_shapes():
+    with pytest.raises(ShapeMismatchError, match=r"probe: expected shape \(3, 2\), got \(2, 3\)"):
+        check_shape("probe", np.zeros((2, 3)), (3, 2))
+    out = check_shape("probe", [[1, 2], [3, 4]], (2, 2))
+    assert out.dtype == np.float64
 
 
 def test_require_finite_rejects_nan_and_inf():

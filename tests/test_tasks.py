@@ -9,7 +9,7 @@ iterative solve sees a realistic spectrum.
 
 import math
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -100,6 +100,30 @@ def test_sections_round_trip_and_schema_alignment():
     for section, keys in CONFIG_SCHEMA.items():
         assert set(sections[section]) == set(keys)
     assert task_config_from_sections(sections) == cfg
+
+
+def test_task_config_fields_are_the_schema_keys_with_their_types():
+    # The grammar is declared once, in CONFIG_SCHEMA: each key is the
+    # TaskConfig attribute of the same name, except the two `solver` keys,
+    # and each default has the type the schema parses its key to.
+    renamed = {("guidance", "solver"): "guidance_solver",
+               ("sampler", "solver"): "ode_solver"}
+    types = {renamed.get((section, key), key): typ
+             for section, keys in CONFIG_SCHEMA.items() for key, typ in keys.items()}
+    assert {f.name for f in fields(TaskConfig)} == set(types)
+    for f in fields(TaskConfig):
+        assert type(f.default) is types[f.name], f.name
+
+
+def test_literal_update_builds_a_one_pass_guidance():
+    # literal_update = true is the K = 1 update whatever k_steps holds; the
+    # config keeps both values, so its dump still tells the two apart.
+    for k_steps in (1, 2, 3, 5):
+        cfg = default_task_config("gaussian-deblur", k_steps=k_steps, literal_update=True)
+        one_pass = replace(cfg, k_steps=1, literal_update=False)
+        assert cfg.build_guidance() == one_pass.build_guidance()
+        assert cfg.hash() != one_pass.hash()
+    assert default_task_config("gaussian-deblur", k_steps=3).build_guidance().k_steps == 3
 
 
 def test_sections_default_to_the_kind_preset():
