@@ -48,13 +48,22 @@ t, and the slot predicts the solution from its pass's history:
   fewer than two are.
 
 The first solve of a run and every same-time solve count as accepted
-states; that is the call pattern of every stepper in `lflow.sampler`. The
-stored arrays are the ones `conjugate_gradient` returned, never written
-afterwards; a prediction is a fresh array that the solve copies. The
-stopping rule stays tol * ||rhs||, so the prediction changes the work,
-not the accuracy guarantee. The public `corrected_velocity` and
-`inner_vector` without a slot are the stateless cold reference: every
-solve starts from zero.
+states; that is the call pattern of every stepper in `lflow.sampler`.
+The stored arrays are the ones `conjugate_gradient` returned, never
+written afterwards; a prediction is a fresh array that the solve copies.
+The stopping rule stays tol * ||rhs||, so the prediction changes the
+work, not the accuracy guarantee. A slot whose first (cold) solve took a
+single matvec starts every later solve from zero as well: S is then a
+multiple of the identity (a mask's A A^T = I), where a started solve
+pays one matvec for its residual and still iterates once. The public
+`corrected_velocity` and `inner_vector` without a slot are the stateless
+cold reference: every solve starts from zero.
+
+Finiteness: `make_velocity` checks the measurement y once per run and
+raises NonFiniteError naming it, before the first evaluation. The
+transforms inside an evaluation are the operators' unchecked ones (see
+`lflow.operators`); a state that turns non-finite fails in the sampler's
+checks, and in the CG route already at the residual's checked `apply`.
 
 In the linear-Gaussian setting (analytic field, linear decoder) nothing
 here is approximate: the gradient equals the gradient of the explicit
@@ -82,7 +91,7 @@ from .fields import (
     posterior_cov_scalar,
     posterior_mean,
 )
-from .numerics import RealField, as_field
+from .numerics import RealField, as_field, require_finite
 from .operators import LinearOperatorDescriptor
 
 CG_MAX_ITER_DEFAULT = 500
@@ -196,11 +205,14 @@ class CgSlot:
     `offset` becomes that stage's solution minus this one, measured at
     step `offset_h`. Stored arrays are the ones `conjugate_gradient`
     returned and are never written; at most CG_HISTORY + 2 are held.
+    Once `cold` is set (the slot's first solve, from zero, took one
+    matvec) `start()` is always None.
     """
 
-    __slots__ = ("t", "t_last", "u", "times", "states", "offset", "offset_h")
+    __slots__ = ("t", "t_last", "u", "times", "states", "offset", "offset_h", "cold")
 
     def __init__(self):
+        self.cold = False
         self.t = None
         self.t_last = None
         self.u = None
@@ -214,6 +226,8 @@ class CgSlot:
         return self
 
     def start(self):
+        if self.cold:
+            return None
         t, times = self.t, self.times
         if t == self.t_last:
             if self.offset is None:
@@ -254,8 +268,11 @@ def _inner_vector_cg(op, residual, sigma_y: float, r2: float,
                      tol: float, max_iter: int, slot: CgSlot | None) -> RealField:
     sy2 = sigma_y * sigma_y
     gram = op.gram
+    matvecs = 0
 
     def matvec(u):
+        nonlocal matvecs
+        matvecs += 1
         # gram returns a fresh array, so it can take the sum in place.
         out = gram(u)
         out *= r2
@@ -265,8 +282,10 @@ def _inner_vector_cg(op, residual, sigma_y: float, r2: float,
     if slot is None:
         u = conjugate_gradient(matvec, residual, tol=tol, max_iter=max_iter)
     else:
-        u = conjugate_gradient(matvec, residual, tol=tol, max_iter=max_iter,
-                               x0=slot.start())
+        x0 = slot.start()
+        u = conjugate_gradient(matvec, residual, tol=tol, max_iter=max_iter, x0=x0)
+        if x0 is None and matvecs == 1:
+            slot.cold = True
         slot.store(u)
     return op.adjoint(u)
 
@@ -354,14 +373,20 @@ def make_velocity(spec: GuidanceSpec, field: VectorFieldSpec, dec: DecoderSpec,
     evaluation costs one forward and one inverse transform for any K. Buffer
     discipline: the residual and the final difference are formed in place
     on the fresh arrays apply_coeffs and adjoint_coeffs return; z and v_u
-    are never written. The gain depends on t alone, so the closure keeps
-    the last (t, gain) and reuses it when Heun re-evaluates at its
-    previous stage's time; the kept array is never written. The
+    are never written. z_bar = z - t v_u is built as (-t) v_u + z on one
+    fresh array, which gives the same bits. The gain depends on t alone,
+    so the closure keeps the last (t, gain) and reuses it when Heun
+    re-evaluates at its previous stage's time; the kept array is never
+    written. The
     conjugate-gradient solver runs the pass-by-pass route on the same B,
     with one CgSlot per pass: each pass starts its solve from the slot's
     prediction out of its own accepted-state solutions (module docstring).
+
+    y is checked once here, so a NaN or Inf in the measurement fails the
+    run with NonFiniteError before its first evaluation; the transforms
+    inside an evaluation check nothing.
     """
-    y = as_field(y)
+    y = require_finite("measurement y", as_field(y))
     b = latent_operator(op, dec)
     passes = spec.k_steps
     if not isinstance(spec.solver, ClosedFormSolver):
@@ -405,7 +430,9 @@ def make_velocity(spec: GuidanceSpec, field: VectorFieldSpec, dec: DecoderSpec,
         v_uncond = field_velocity(z, t)
         # gain (y_hat - B_hat z_bar), in place on the fresh array apply_coeffs
         # returns, then v_u minus its adjoint, in place on the adjoint's output.
-        w = apply_coeffs(z - t * v_uncond)
+        zbar = np.multiply(v_uncond, -t)
+        zbar += z
+        w = apply_coeffs(zbar)
         np.subtract(y_hat, w, out=w)
         w *= gain_at(t)
         u = adjoint_coeffs(w)

@@ -21,7 +21,18 @@ Conventions, fixed once for the whole package:
   along axis 1. That is the order numpy's rfft2/irfft2 use, so the bits
   are the same; calling the 1-D transforms directly skips rfftn/irfftn's
   argument handling, which is a sizeable share of a 64 x 64 transform.
-  These two functions are the package's only route to np.fft.
+  The axis-0 pass runs in place (`out=`), which gives the same bits
+  without a second full-size spectrum.
+* Two transform pairs share that code. The public `dft2_forward` and
+  `dft2_inverse` check shapes and reject non-finite input; the inverse
+  copies its argument, so it never writes a caller's array. The private
+  `_rdft2` and `_irdft2` check nothing and are for operator internals
+  whose inputs a run has already checked (the operators' `apply_coeffs`,
+  `adjoint_coeffs` and `gram`). `_rdft2` returns a fresh array that
+  nothing else references. `_irdft2` takes ownership of the spectrum it
+  is given and overwrites it, so the caller hands over an array it built
+  for the call and never reads again. These four functions are the
+  package's only route to np.fft.
 * Randomness comes from numpy's PCG64 via `make_rng`; identical seeds give
   identical streams on every platform.
 """
@@ -56,6 +67,20 @@ def require_finite(name: str, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _rdft2(field: RealField) -> ComplexSpectrum:
+    """Unchecked half-spectrum of a 2-D float64 field; a fresh array."""
+    spec = np.fft.rfft(field, axis=1)
+    return np.fft.fft(spec, axis=0, out=spec)
+
+
+def _irdft2(spectrum: ComplexSpectrum, shape: tuple[int, int]) -> RealField:
+    """Unchecked real field of an owned complex128 half-spectrum.
+
+    Overwrites `spectrum`: its axis-0 pass runs in place.
+    """
+    return np.fft.irfft(np.fft.ifft(spectrum, axis=0, out=spectrum), n=shape[1], axis=1)
+
+
 def dft2_forward(field: RealField) -> ComplexSpectrum:
     """Unnormalized 2-D half-spectrum of a real field: (h, w) -> (h, w//2 + 1).
 
@@ -66,7 +91,7 @@ def dft2_forward(field: RealField) -> ComplexSpectrum:
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ShapeMismatchError(f"expected a 2-D field, got shape {arr.shape}")
     require_finite("dft2_forward input", arr)
-    return np.fft.fft(np.fft.rfft(arr, axis=1), axis=0)
+    return _rdft2(arr)
 
 
 def dft2_inverse(spectrum: ComplexSpectrum, shape: tuple[int, int]) -> RealField:
@@ -76,8 +101,9 @@ def dft2_inverse(spectrum: ComplexSpectrum, shape: tuple[int, int]) -> RealField
     half-spectrum. A DC column (or, at even w, a Nyquist column) that is
     not Hermitian along axis 0 has no real field to come from; the final
     irfft drops its anti-Hermitian part, so the output is always real.
+    The transform runs on a copy, so `spectrum` is never written.
     """
-    spec = np.asarray(spectrum, dtype=np.complex128)
+    spec = np.array(spectrum, dtype=np.complex128)
     h, w = (int(n) for n in shape)
     if spec.shape != (h, w // 2 + 1):
         raise ShapeMismatchError(
@@ -85,7 +111,7 @@ def dft2_inverse(spectrum: ComplexSpectrum, shape: tuple[int, int]) -> RealField
             f"{(h, w)}, got {spec.shape}"
         )
     require_finite("dft2_inverse input", spec.view(np.float64))
-    return np.fft.irfft(np.fft.ifft(spec, axis=0), n=w, axis=1)
+    return _irdft2(spec, (h, w))
 
 
 def make_rng(seed: int) -> SeededRng:

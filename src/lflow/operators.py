@@ -23,18 +23,28 @@ fresh array, which the CG matvec in `lflow.guidance` scales in place.
 The two convolution operators use the real DFT (see `lflow.numerics`):
 their coefficients and `gram_eigenvalues` are half-spectra of the
 measurement grid, (h, w//2 + 1) for an (h, w) grid; the other half follows
-by Hermitian symmetry. They cache conj(k_hat) next to k_hat, so the
+by Hermitian symmetry. Where an array enters from outside a run, their
+transforms are the checked `dft2_forward`/`dft2_inverse`, which reject
+non-finite input: `coeffs` (a measurement), `apply`, `adjoint`, `lift`
+and the kernel spectra built in `__init__`. The members a guidance
+evaluation calls, `apply_coeffs`, `adjoint_coeffs` and `gram`, use the
+unchecked private pair `_rdft2`/`_irdft2` instead: their inputs are
+states and solver iterates that the run checks elsewhere (the measurement
+once per run in `lflow.guidance.make_velocity`, every accepted state in
+the sampler's recorder), and each inverse gets a spectrum built for it,
+which it overwrites. They cache conj(k_hat) next to k_hat, so the
 adjoint does not conjugate per call, and `gram` scales the spectrum it
 has just computed in place. Complex-by-complex products keep the
 written form `khat * spec`: numpy's complex multiply can round
 differently with its operands swapped, so a rewrite must keep the bits
 of that expression as numpy evaluates it. Numpy computes `a * b` whose
 b is an unreferenced temporary of 256 KiB or more in place on b, with
-the operands swapped; `khat * dft2_forward(x)` does that at 256^2, in
-the code and in the reference formula alike. Where a buffer is reused
-on purpose the order is spelled out instead: the downsampler's adjoint
-writes np.multiply(conj_khat, tiled, out=tiled), the operand order of
-`conj_khat * tile`, which its owned tile would otherwise swap.
+the operands swapped; `khat * _rdft2(x)` and `khat * dft2_forward(x)` do
+that at 256^2, in the code and in the reference formula alike. Where a
+buffer is reused on purpose the order is spelled out instead: the
+downsampler's adjoint writes np.multiply(conj_khat, tiled, out=tiled),
+the operand order of `conj_khat * tile`, which its owned tile would
+otherwise swap.
 
 `lift(y)` maps a measurement back onto the input grid to seed a sampler
 run: masks zero-fill, shape-preserving operators pass y through,
@@ -55,7 +65,15 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionGuardError, ShapeMismatchError
-from .numerics import as_field, check_shape, dft2_forward, dft2_inverse, make_rng
+from .numerics import (
+    _irdft2,
+    _rdft2,
+    as_field,
+    check_shape,
+    dft2_forward,
+    dft2_inverse,
+    make_rng,
+)
 
 DENSE_MATERIALIZE_LIMIT = 4096
 
@@ -167,21 +185,22 @@ class CircConvOperator:
 
     def apply_coeffs(self, x) -> np.ndarray:
         x = check_shape("circconv apply", x, self.input_shape)
-        return self.khat * dft2_forward(x)
+        return self.khat * _rdft2(x)
 
     def adjoint_coeffs(self, w) -> np.ndarray:
-        return dft2_inverse(self._khat_conj * w, self.input_shape)
+        return _irdft2(self._khat_conj * w, self.input_shape)
 
     def apply(self, x) -> np.ndarray:
-        return dft2_inverse(self.apply_coeffs(x), self.output_shape)
+        x = check_shape("circconv apply", x, self.input_shape)
+        return dft2_inverse(self.khat * dft2_forward(x), self.output_shape)
 
     def adjoint(self, y) -> np.ndarray:
-        return self.adjoint_coeffs(self.coeffs(y))
+        return dft2_inverse(self._khat_conj * self.coeffs(y), self.input_shape)
 
     def gram(self, u) -> np.ndarray:
-        spec = self.coeffs(u)
+        spec = _rdft2(check_shape("circconv gram", u, self.output_shape))
         spec *= self.gram_eigenvalues
-        return dft2_inverse(spec, self.output_shape)
+        return _irdft2(spec, self.output_shape)
 
     def lift(self, y) -> np.ndarray:
         return as_field(y)
@@ -276,14 +295,17 @@ class ConvDownsampleOperator:
 
     def apply_coeffs(self, x) -> np.ndarray:
         x = check_shape("convdown apply", x, self.input_shape)
-        return self._fold(self.khat * dft2_forward(x))
+        return self._fold(self.khat * _rdft2(x))
 
-    def adjoint_coeffs(self, w) -> np.ndarray:
+    def _adjoint_spectrum(self, w) -> np.ndarray:
         # Spelled out with conj(k_hat) first: the tile is a fresh, unreferenced
         # array, which `self._khat_conj * self._tile(w)` would let numpy reuse
         # with the operands swapped (see the module docstring).
         tiled = self._tile(w)
-        return dft2_inverse(np.multiply(self._khat_conj, tiled, out=tiled), self.input_shape)
+        return np.multiply(self._khat_conj, tiled, out=tiled)
+
+    def adjoint_coeffs(self, w) -> np.ndarray:
+        return _irdft2(self._adjoint_spectrum(w), self.input_shape)
 
     def apply(self, x) -> np.ndarray:
         x = check_shape("convdown apply", x, self.input_shape)
@@ -291,12 +313,12 @@ class ConvDownsampleOperator:
         return blurred[:: self.factor, :: self.factor].copy()
 
     def adjoint(self, y) -> np.ndarray:
-        return self.adjoint_coeffs(self.coeffs(y))
+        return dft2_inverse(self._adjoint_spectrum(self.coeffs(y)), self.input_shape)
 
     def gram(self, u) -> np.ndarray:
-        spec = self.coeffs(u)
+        spec = _rdft2(check_shape("convdown gram", u, self.output_shape))
         spec *= self.gram_eigenvalues
-        return dft2_inverse(spec, self.output_shape)
+        return _irdft2(spec, self.output_shape)
 
     def lift(self, y) -> np.ndarray:
         return float(self.factor**2) * self.adjoint(y)

@@ -231,9 +231,10 @@ def integrate(config: SamplerConfig, field: VectorFieldSpec, dec: DecoderSpec,
     y = as_field(y)
     schedule = config.schedule
     t_min = schedule.t_min
+    # make_velocity checks y, so a non-finite measurement fails here by name.
+    velocity = make_velocity(config.guidance, field, dec, op, y)
     z = init_state(config, dec, op, y, rng)
     traj = Trajectory()
-    velocity = make_velocity(config.guidance, field, dec, op, y)
 
     t_max = schedule.t_max
 

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import lflow.guidance
+import lflow.operators
 from lflow.decoders import DiagonalScaleDecoder, IdentityDecoder, LinearMatrixDecoder
 from lflow.errors import CgConvergenceError
 from lflow.fields import (
@@ -51,7 +52,7 @@ from lflow.operators import (
     dense_materialize,
 )
 from lflow.sampler import AdaptiveHeunSolver, SamplerConfig, init_state, sample_posterior
-from lflow.tasks import default_task_config, degrade
+from lflow.tasks import default_task_config, degrade, reconstruct
 
 
 def dense_inner_vector(op, residual, sigma_y, r2):
@@ -841,3 +842,54 @@ def test_guidance_spec_validation():
         ConjugateGradientSolver(max_iter=0)
     with pytest.raises(ValueError):
         ConjugateGradientSolver(tol=0.0)
+
+
+def count_transforms(monkeypatch):
+    """Count the operators' calls of each 2-D transform, checked or not."""
+    calls = {}
+    for name in ("_rdft2", "_irdft2", "dft2_forward", "dft2_inverse"):
+        real = getattr(lflow.operators, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args)
+
+        monkeypatch.setattr(lflow.operators, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("op_kind", ["circconv", "convdown"])
+def test_hot_operator_members_use_only_the_private_transform_pair(op_kind, monkeypatch):
+    # One closed-form NFE is one private forward and one private inverse;
+    # the measurement's checked transform runs once, when the run is built.
+    rng = make_rng(60)
+    op = make_operator(op_kind, rng)
+    y = rng.normal(size=op.output_shape)
+    z = rng.normal(size=op.input_shape)
+    calls = count_transforms(monkeypatch)
+    field = AnalyticGaussianField(sigma_latr=0.5)
+    velocity = make_velocity(GuidanceSpec(sigma_y=0.05), field,
+                             IdentityDecoder(op.input_shape), op, y)
+    assert calls == {"dft2_forward": 1}
+    calls.clear()
+    for t in (0.7, 0.7, 0.4):
+        velocity(z, t)
+        assert calls == {"_rdft2": 1, "_irdft2": 1}, t
+        calls.clear()
+    op.gram(y)
+    assert calls == {"_rdft2": 1, "_irdft2": 1}
+
+
+def test_mask_cg_solves_stay_cold_after_a_one_matvec_first_solve(monkeypatch):
+    # A A^T = I for a mask, so every solve from zero ends after one matvec,
+    # and a predicted start would cost a second one (124 vs 246 here).
+    cfg = default_task_config("box-inpaint", guidance_solver="cg", seed=0)
+    y = degrade(cfg)
+    calls = count_grams(monkeypatch, MaskOperator)
+    x_cg, rep_cg = reconstruct(cfg, y)
+    grams = len(calls)
+    x_closed, rep_closed = reconstruct(replace(cfg, guidance_solver="closed-form"), y)
+    assert rep_cg.status == rep_closed.status == "ok"
+    assert rep_cg.nfe == rep_closed.nfe == 62
+    assert grams == 2 * rep_cg.nfe == 124
+    assert float(np.max(np.abs(x_cg - x_closed))) < 1e-9

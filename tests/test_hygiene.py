@@ -8,6 +8,10 @@ package's `__init__.py` (whose imports are re-exports) are skipped.
 
 Every name the benchmark's tracer looks up in the package by string
 exists, so a rename fails here and not only in a traced benchmark run.
+
+`lflow.numerics` is the package's only route to numpy's FFT: no other
+package module names `np.fft` or imports from `numpy.fft`, so every
+transform goes through its checked or private pair.
 """
 
 from __future__ import annotations
@@ -94,3 +98,42 @@ def test_every_name_the_benchmark_tracer_looks_up_exists():
                 for method in tracer.OPERATOR_METHODS
                 if not callable(getattr(getattr(operators, cls, None), method, None))]
     assert not missing, ", ".join(missing)
+
+
+def fft_references(source: str) -> list[int]:
+    """Lines that name numpy's fft module: an `np.fft`/`numpy.fft`
+    attribute, `import numpy.fft` or an import from it or of it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr == "fft"
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Import) and any(
+                a.name.startswith("numpy.fft") for a in node.names):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module and (
+                node.module.startswith("numpy.fft")
+                or (node.module == "numpy" and any(a.name == "fft" for a in node.names))):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_fft_scan_finds_every_form():
+    source = (
+        "import numpy as np\n"
+        "import numpy.fft\n"
+        "from numpy import fft\n"
+        "from numpy.fft import rfft\n"
+        "x = np.fft.rfft([1.0])\n"
+        "y = np.linalg.norm([1.0])\n"
+    )
+    assert fft_references(source) == [2, 3, 4, 5]
+
+
+def test_numpy_fft_is_referenced_only_in_numerics():
+    found = {p.name: fft_references(p.read_text(encoding="utf-8"))
+             for p in sorted((ROOT / "src" / "lflow").glob("*.py"))}
+    assert found["numerics.py"]
+    outside = {name: lines for name, lines in found.items()
+               if lines and name != "numerics.py"}
+    assert not outside, outside

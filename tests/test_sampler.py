@@ -22,7 +22,7 @@ from lflow.errors import (
     StepUnderflowError,
 )
 from lflow.fields import AnalyticGaussianField, CallbackField, CovarianceMode
-from lflow.guidance import GuidanceSpec
+from lflow.guidance import ConjugateGradientSolver, GuidanceSpec
 from lflow.numerics import gaussian_vector, make_rng
 from lflow.operators import (
     CircConvOperator,
@@ -507,3 +507,68 @@ def test_state_recording_is_opt_in():
     _, recorded = integrate(config, field, dec, op, y, make_rng(14), record_states=True)
     assert len(recorded.states) == len(recorded.times)
     assert recorded.states[0].shape == (4,)
+
+
+def _counting_field(sigma_latr: float = 0.5, nan_from: float | None = None):
+    """A callback copy of the analytic field that counts its evaluations,
+    and returns NaN at every t at or below `nan_from` when one is given."""
+    scalar = AnalyticGaussianField(sigma_latr=sigma_latr).scalar
+    calls = []
+
+    def fn(z, t):
+        calls.append(t)
+        if nan_from is not None and t <= nan_from:
+            return np.full_like(z, np.nan)
+        return scalar(t) * z
+
+    return CallbackField(fn, surrogate_sigma_latr=sigma_latr), calls
+
+
+def _boundary_operator(kind: str, shape=(8, 8)):
+    if kind == "mask":
+        mask = np.ones(shape)
+        mask[2:5, 3:6] = 0.0
+        return MaskOperator(mask)
+    if kind == "circconv":
+        return CircConvOperator(build_gaussian_kernel(3, 1.0), shape)
+    if kind == "convdown":
+        return ConvDownsampleOperator(build_bicubic_kernel(2), shape, 2)
+    return DenseOperator(make_rng(50).normal(size=(12, shape[0] * shape[1])),
+                         input_shape=shape)
+
+
+@pytest.mark.parametrize("init_mode", ["pure-noise", "encoded-measurement"])
+@pytest.mark.parametrize("solver", ["closed-form", "cg"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["mask", "circconv", "convdown", "dense"])
+def test_a_non_finite_measurement_fails_the_run_before_its_first_evaluation(
+        kind, bad, solver, init_mode):
+    # The transforms inside an evaluation check nothing, so the run checks
+    # y once, by name, before the field is ever called.
+    op = _boundary_operator(kind)
+    y = make_rng(51).normal(size=op.output_shape)
+    y.flat[y.size // 2] = bad
+    guidance = GuidanceSpec(sigma_y=0.05)
+    if solver == "cg":
+        guidance = GuidanceSpec(sigma_y=0.05, solver=ConjugateGradientSolver())
+    config = SamplerConfig(guidance=guidance, init_mode=init_mode, seed=0)
+    field, calls = _counting_field()
+    with pytest.raises(NonFiniteError, match="measurement y"):
+        sample_posterior(config, field, IdentityDecoder(op.input_shape), op, y)
+    assert calls == []
+
+
+@pytest.mark.parametrize("stepper", ["adaptive-heun", "heun", "cg"])
+@pytest.mark.parametrize("kind", ["circconv", "convdown"])
+def test_a_field_that_turns_nan_fails_the_run(kind, stepper):
+    op = _boundary_operator(kind)
+    y = make_rng(52).normal(size=op.output_shape)
+    solver = HeunSolver(steps=8) if stepper == "heun" else AdaptiveHeunSolver()
+    guidance = GuidanceSpec(sigma_y=0.05)
+    if stepper == "cg":
+        guidance = GuidanceSpec(sigma_y=0.05, solver=ConjugateGradientSolver())
+    config = SamplerConfig(solver=solver, guidance=guidance, seed=0)
+    field, calls = _counting_field(nan_from=0.5)
+    with pytest.raises(NonFiniteError):
+        sample_posterior(config, field, IdentityDecoder(op.input_shape), op, y)
+    assert max(calls) > 0.5 >= min(calls)
