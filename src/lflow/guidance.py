@@ -28,36 +28,30 @@ place through one scratch buffer per solve and never writes rhs or an
 array that a matvec returned (a caller's matvec may hand back a cached
 buffer or its input).
 
-Predicted start: consecutive velocity evaluations of one run solve
+Projected start: consecutive velocity evaluations of one run solve
 almost the same system with almost the same right-hand side, so the
 velocity that `make_velocity` builds for the CG solver keeps one
 `CgSlot` per correction pass, created with the closure and so private to
-one run. Before each solve `_corrected_velocity` tells the slot the time
-t, and the slot predicts the solution from its pass's history:
-
-* A solve at the same t as the pass's previous solve is a Heun
-  re-evaluation at the state just accepted, so the previous solve was
-  the stage that produced it. It starts from that stage's solution minus
-  the last stage offset (stage solution minus accepted-state solution at
-  one time), scaled by (h / h_prev)^2, since a stage state differs from
-  its accepted state by O(h^2).
-* Every other solve (the next Heun stage, a retry after a rejection, an
-  Euler step) starts from the Lagrange extrapolation in t of the pass's
-  solutions at its last four accepted states, linear from the last two
-  while fewer than four are known, and the plain last solution while
-  fewer than two are.
-
-The first solve of a run and every same-time solve count as accepted
-states; that is the call pattern of every stepper in `lflow.sampler`.
-The stored arrays are the ones `conjugate_gradient` returned, never
-written afterwards; a prediction is a fresh array that the solve copies.
-The stopping rule stays tol * ||rhs||, so the prediction changes the
-work, not the accuracy guarantee. A slot whose first (cold) solve took a
-single matvec starts every later solve from zero as well: S is then a
-multiple of the identity (a mask's A A^T = I), where a started solve
-pays one matvec for its residual and still iterates once. The public
-`corrected_velocity` and `inner_vector` without a slot are the stateless
-cold reference: every solve starts from zero.
+one run. The slot holds the pass's last CG_HISTORY solutions u_i with
+their products g_i = B B^T u_i, which cost no matvec: a solve of
+S u = b that ends with residual r gives g = (b - r - sigma_y^2 u) / r2.
+Each solve starts from the Galerkin projection of its solution onto
+span(u_i) (Fischer 1998, "Projection techniques for iterative solution
+of Ax = b with successive right-hand sides"): x0 = sum c_i u_i with
+(sigma_y^2 P + r2(t) Q) c = (u_i . b), P = (u_i . u_j) and
+Q = (u_i . g_j) symmetrized, both kept up to date one row per stored
+solution. That needs no time, step size or call pattern, so every
+stepper in `lflow.sampler` gets the same start rule. The small system is
+solved by least squares with singular values below machine epsilon
+times the largest dropped, so a (near-)collinear history neither fails
+nor inflates the start. The start residual b - S x0 costs one true
+matvec and the stopping rule stays tol * ||b||: the stored products
+change the work, not the accuracy guarantee. A slot whose first solve,
+from zero, took a single matvec starts every later solve from zero: S is
+then a multiple of the identity (a mask's A A^T = I), where a started
+solve pays one matvec for its residual and still iterates once. The
+public `corrected_velocity` and `inner_vector` without a slot are the
+stateless cold reference: every solve starts from zero.
 
 Finiteness: `make_velocity` checks the measurement y once per run and
 raises NonFiniteError naming it, before the first evaluation. The
@@ -91,13 +85,16 @@ from .fields import (
     posterior_cov_scalar,
     posterior_mean,
 )
-from .numerics import RealField, as_field, require_finite
+from .numerics import RealField, as_field, dot, require_finite
 from .operators import LinearOperatorDescriptor
 
 CG_MAX_ITER_DEFAULT = 500
 CG_TOL_DEFAULT = 1e-10
-# Accepted-state solutions a CgSlot keeps: the nodes of its cubic prediction.
-CG_HISTORY = 4
+# Recent solutions a CgSlot projects each start onto.
+CG_HISTORY = 8
+# Singular values of a CgSlot's small system below this times the largest
+# are dropped: directions of its history that rounding cannot resolve.
+_GALERKIN_RCOND = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -159,34 +156,38 @@ def conjugate_gradient(matvec, rhs: np.ndarray, tol: float = CG_TOL_DEFAULT,
     direction p has p^T M p not finite and positive (M is not positive
     definite, e.g. a singular S) or when max_iter steps were not enough.
     """
-    rhs = as_field(rhs)
-    rs = float(np.vdot(rhs, rhs).real)
+    return _cg_solve(matvec, as_field(rhs), tol, max_iter, x0)[0]
+
+
+def _cg_solve(matvec, rhs, tol, max_iter, x0):
+    """`conjugate_gradient`, returning the solution and its final residual."""
+    rs = dot(rhs, rhs)
     rhs_norm = math.sqrt(rs)
     x = np.zeros_like(rhs)
     if rhs_norm == 0.0:
-        return x
+        return x, rhs
     if x0 is None:
         r = rhs.copy()
     else:
         x[...] = x0
         r = rhs - matvec(x)
-        rs = float(np.vdot(r, r).real)
+        rs = dot(r, r)
         if math.sqrt(rs) <= tol * rhs_norm:
-            return x
+            return x, r
     p = r.copy()
     scratch = np.empty_like(rhs)
     for k in range(max_iter):
         mp = matvec(p)
-        curvature = float(np.vdot(p, mp).real)
+        curvature = dot(p, mp)
         if not (math.isfinite(curvature) and curvature > 0.0):
             raise CgConvergenceError(iterations=k, residual_norm=math.sqrt(rs),
                                      reason=f"breakdown (p^T M p = {curvature:.3e})")
         alpha = rs / curvature
         x += np.multiply(p, alpha, out=scratch)
         r -= np.multiply(mp, alpha, out=scratch)
-        rs_next = float(np.vdot(r, r).real)
+        rs_next = dot(r, r)
         if math.sqrt(rs_next) <= tol * rhs_norm:
-            return x
+            return x, r
         p *= rs_next / rs
         p += r
         rs = rs_next
@@ -194,74 +195,56 @@ def conjugate_gradient(matvec, rhs: np.ndarray, tol: float = CG_TOL_DEFAULT,
 
 
 class CgSlot:
-    """One correction pass's CG history for a run, and its predicted start.
+    """One correction pass's recent CG solutions in a run, and their start.
 
-    `at(t)` sets the time of the next solve, `start()` predicts its
-    solution (None before the first solve: start from zero) and
-    `store(u)` records the solution. A solve is an accepted state when it
-    is the slot's first or repeats the previous solve's time; its
-    solution joins `times`/`states` (the last CG_HISTORY accepted
-    states), and when the previous solve was the stage at that time,
-    `offset` becomes that stage's solution minus this one, measured at
-    step `offset_h`. Stored arrays are the ones `conjugate_gradient`
-    returned and are never written; at most CG_HISTORY + 2 are held.
-    Once `cold` is set (the slot's first solve, from zero, took one
-    matvec) `start()` is always None.
+    `sols` holds the last CG_HISTORY solutions u_i and `prods` their
+    products g_i; `p` and `q` hold P and Q for them (module docstring).
+    `start(rhs, sy2, r2)` returns the projected start, or None (start from
+    zero) while nothing is held, when the small system fails or gives a
+    non-finite c, and for good once `cold` is set. `store(u, g)` replaces
+    the oldest pair once the slot is full and updates one row and column
+    of P and Q. Stored arrays are never written.
     """
 
-    __slots__ = ("t", "t_last", "u", "times", "states", "offset", "offset_h", "cold")
+    __slots__ = ("cold", "sols", "prods", "p", "q", "oldest")
 
     def __init__(self):
         self.cold = False
-        self.t = None
-        self.t_last = None
-        self.u = None
-        self.times = []
-        self.states = []
-        self.offset = None
-        self.offset_h = 0.0
+        self.sols = []
+        self.prods = []
+        self.p = np.zeros((CG_HISTORY, CG_HISTORY))
+        self.q = np.zeros((CG_HISTORY, CG_HISTORY))
+        self.oldest = 0
 
-    def at(self, t: float) -> CgSlot:
-        self.t = t
-        return self
-
-    def start(self):
-        if self.cold:
+    def start(self, rhs: np.ndarray, sy2: float, r2: float):
+        n = len(self.sols)
+        if self.cold or n == 0:
             return None
-        t, times = self.t, self.times
-        if t == self.t_last:
-            if self.offset is None:
-                return self.u
-            return self.u - self.offset * ((t - times[-1]) / self.offset_h) ** 2
-        n = len(times)
-        if n < 2:
-            return self.u
-        nodes = range(n) if n == CG_HISTORY else range(n - 2, n)
-        x = None
-        for i in nodes:
-            w = 1.0
-            for j in nodes:
-                if j != i:
-                    w *= (t - times[j]) / (times[i] - times[j])
-            term = self.states[i] * w
-            x = term if x is None else np.add(x, term, out=x)
+        m = sy2 * self.p[:n, :n] + r2 * self.q[:n, :n]
+        try:
+            c = np.linalg.lstsq(m, [dot(w, rhs) for w in self.sols], rcond=_GALERKIN_RCOND)[0]
+        except np.linalg.LinAlgError:
+            return None
+        if not np.isfinite(c).all():
+            return None
+        x = self.sols[0] * c[0]
+        for w, ci in zip(self.sols[1:], c[1:]):
+            x += w * ci
         return x
 
-    def store(self, u: np.ndarray) -> None:
-        t, times = self.t, self.times
-        if self.u is None or t == self.t_last:
-            if times and times[-1] == t:
-                self.states[-1] = u
-            else:
-                if self.u is not None:
-                    self.offset = self.u - u
-                    self.offset_h = t - times[-1]
-                times.append(t)
-                self.states.append(u)
-                if len(times) > CG_HISTORY:
-                    del times[0], self.states[0]
-        self.t_last = t
-        self.u = u
+    def store(self, u: np.ndarray, g: np.ndarray) -> None:
+        sols, prods = self.sols, self.prods
+        if len(sols) < CG_HISTORY:
+            j = len(sols)
+            sols.append(u)
+            prods.append(g)
+        else:
+            j = self.oldest
+            self.oldest = (j + 1) % CG_HISTORY
+            sols[j], prods[j] = u, g
+        for i, (w, h) in enumerate(zip(sols, prods)):
+            self.p[i, j] = self.p[j, i] = dot(w, u)
+            self.q[i, j] = self.q[j, i] = 0.5 * (dot(w, g) + dot(h, u))
 
 
 def _inner_vector_cg(op, residual, sigma_y: float, r2: float,
@@ -281,12 +264,17 @@ def _inner_vector_cg(op, residual, sigma_y: float, r2: float,
 
     if slot is None:
         u = conjugate_gradient(matvec, residual, tol=tol, max_iter=max_iter)
-    else:
-        x0 = slot.start()
-        u = conjugate_gradient(matvec, residual, tol=tol, max_iter=max_iter, x0=x0)
-        if x0 is None and matvecs == 1:
-            slot.cold = True
-        slot.store(u)
+        return op.adjoint(u)
+    x0 = slot.start(residual, sy2, r2)
+    u, r = _cg_solve(matvec, residual, tol, max_iter, x0)
+    if not slot.sols and matvecs == 1:
+        slot.cold = True
+    elif r2 > 0.0:
+        # B B^T u = (S u - sy2 u) / r2 with S u = residual - r: no matvec.
+        g = residual - r
+        g -= sy2 * u
+        g /= r2
+        slot.store(u, g)
     return op.adjoint(u)
 
 
@@ -296,9 +284,8 @@ def inner_vector(op: LinearOperatorDescriptor, residual, sigma_y: float, r2: flo
 
     The closed form divides in the operator's eigenbasis of A A^T; a
     ConjugateGradientSolver solves the system iteratively instead, from
-    zero, or, given a CgSlot set to the solve's time, from the slot's
-    predicted start, and records the solution in the slot. The closed
-    form ignores the slot.
+    zero, or, given a CgSlot, from the slot's projected start, and
+    records the solution in the slot. The closed form ignores the slot.
     """
     residual = as_field(residual)
     if isinstance(solver, ConjugateGradientSolver):
@@ -334,7 +321,7 @@ def _corrected_velocity(spec: GuidanceSpec, field: VectorFieldSpec, b, y: np.nda
     g = t / (1.0 - t)
     v = v_uncond
     for k in range(spec.k_steps):
-        slot = None if slots is None else slots[k].at(t)
+        slot = None if slots is None else slots[k]
         grad = _gradient_at_mean(spec, field, b, y, z - t * v, t, slot)
         v = v_uncond - g * grad
     return v
@@ -379,8 +366,8 @@ def make_velocity(spec: GuidanceSpec, field: VectorFieldSpec, dec: DecoderSpec,
     re-evaluates at its previous stage's time; the kept array is never
     written. The
     conjugate-gradient solver runs the pass-by-pass route on the same B,
-    with one CgSlot per pass: each pass starts its solve from the slot's
-    prediction out of its own accepted-state solutions (module docstring).
+    with one CgSlot per pass: each pass starts its solve from the
+    projection onto its own recent solutions (module docstring).
 
     y is checked once here, so a NaN or Inf in the measurement fails the
     run with NonFiniteError before its first evaluation; the transforms

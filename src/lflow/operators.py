@@ -24,15 +24,15 @@ The two convolution operators use the real DFT (see `lflow.numerics`):
 their coefficients and `gram_eigenvalues` are half-spectra of the
 measurement grid, (h, w//2 + 1) for an (h, w) grid; the other half follows
 by Hermitian symmetry. Where an array enters from outside a run, their
-transforms are the checked `dft2_forward`/`dft2_inverse`, which reject
-non-finite input: `coeffs` (a measurement), `apply`, `adjoint`, `lift`
-and the kernel spectra built in `__init__`. The members a guidance
-evaluation calls, `apply_coeffs`, `adjoint_coeffs` and `gram`, use the
-unchecked private pair `_rdft2`/`_irdft2` instead: their inputs are
-states and solver iterates that the run checks elsewhere (the measurement
-once per run in `lflow.guidance.make_velocity`, every accepted state in
-the sampler's recorder), and each inverse gets a spectrum built for it,
-which it overwrites. They cache conj(k_hat) next to k_hat, so the
+forward transform is the checked `dft2_forward`, which rejects non-finite
+input: `coeffs` (a measurement), `apply`, `adjoint`, `lift` and the
+kernel spectra built in `__init__`. The members a guidance evaluation
+calls, `apply_coeffs`, `adjoint_coeffs` and `gram`, use the unchecked
+private `_rdft2` instead: their inputs are states and solver iterates
+that the run checks elsewhere (the measurement once per run in
+`lflow.guidance.make_velocity`, every accepted state in the sampler's
+recorder). Every inverse is the private `_irdft2` on a spectrum built
+for it from a checked or run-checked input, which it overwrites. They cache conj(k_hat) next to k_hat, so the
 adjoint does not conjugate per call, and `gram` scales the spectrum it
 has just computed in place. Complex-by-complex products keep the
 written form `khat * spec`: numpy's complex multiply can round
@@ -71,7 +71,6 @@ from .numerics import (
     as_field,
     check_shape,
     dft2_forward,
-    dft2_inverse,
     make_rng,
 )
 
@@ -192,10 +191,10 @@ class CircConvOperator:
 
     def apply(self, x) -> np.ndarray:
         x = check_shape("circconv apply", x, self.input_shape)
-        return dft2_inverse(self.khat * dft2_forward(x), self.output_shape)
+        return _irdft2(self.khat * dft2_forward(x), self.output_shape)
 
     def adjoint(self, y) -> np.ndarray:
-        return dft2_inverse(self._khat_conj * self.coeffs(y), self.input_shape)
+        return _irdft2(self._khat_conj * self.coeffs(y), self.input_shape)
 
     def gram(self, u) -> np.ndarray:
         spec = _rdft2(check_shape("circconv gram", u, self.output_shape))
@@ -309,11 +308,11 @@ class ConvDownsampleOperator:
 
     def apply(self, x) -> np.ndarray:
         x = check_shape("convdown apply", x, self.input_shape)
-        blurred = dft2_inverse(self.khat * dft2_forward(x), self.input_shape)
+        blurred = _irdft2(self.khat * dft2_forward(x), self.input_shape)
         return blurred[:: self.factor, :: self.factor].copy()
 
     def adjoint(self, y) -> np.ndarray:
-        return dft2_inverse(self._adjoint_spectrum(self.coeffs(y)), self.input_shape)
+        return _irdft2(self._adjoint_spectrum(self.coeffs(y)), self.input_shape)
 
     def gram(self, u) -> np.ndarray:
         spec = _rdft2(check_shape("convdown gram", u, self.output_shape))

@@ -57,7 +57,7 @@ from .errors import (
 )
 from .fields import VectorFieldSpec, posterior_mean
 from .guidance import GuidanceSpec, make_velocity
-from .numerics import RealField, SeededRng, as_field, gaussian_vector, make_rng
+from .numerics import RealField, SeededRng, as_field, dot, gaussian_vector, make_rng
 from .operators import LinearOperatorDescriptor
 from .schedule import PathSchedule
 
@@ -205,7 +205,7 @@ class _Recorder:
         a finite state whose squared norm overflows (record inf).
         """
         flat = z.ravel(order="K")
-        sq = float(flat.dot(flat))
+        sq = dot(flat, flat)
         if not math.isfinite(sq) and not np.isfinite(z).all():
             raise NonFiniteError(f"state became non-finite at t={t:.6g}")
         traj = self.traj
@@ -253,7 +253,7 @@ def integrate(config: SamplerConfig, field: VectorFieldSpec, dec: DecoderSpec,
     if record_residuals:
         def residual_fn(state, t):
             r = y - op.apply(decode(dec, posterior_mean(field, state, t)))
-            return float(np.linalg.norm(r))
+            return math.sqrt(dot(r, r))
 
     rec = _Recorder(traj, record_states, residual_fn)
     if isinstance(config.solver, EulerSolver):
@@ -344,7 +344,7 @@ def _run_adaptive(config, f, z, t_min, rec):
         z_heun += z_euler
         diff *= inv_scale
         flat = diff.ravel(order="K")
-        err = abs(half_h) * math.sqrt(float(flat.dot(flat)) / size)
+        err = abs(half_h) * math.sqrt(dot(flat, flat) / size)
         if err <= 1.0:
             t = t + h
             if t - t_min <= 1e-12:

@@ -18,6 +18,7 @@ import pytest
 
 import lflow.guidance
 import lflow.operators
+import lflow.sampler
 from lflow.decoders import DiagonalScaleDecoder, IdentityDecoder, LinearMatrixDecoder
 from lflow.errors import CgConvergenceError
 from lflow.fields import (
@@ -481,6 +482,100 @@ def test_predicted_cg_start_tracks_the_cold_reference_with_fewer_matvecs(monkeyp
         assert err < 1e-9, (t, err)
 
 
+@pytest.mark.parametrize("sampler", [{}, {"ode_solver": "euler", "steps": 100}],
+                         ids=["adaptive-heun", "euler-100"])
+def test_projected_cg_start_halves_the_restart_matvecs_on_the_64_squared_preset(
+        sampler, monkeypatch):
+    # The start uses no step pattern, so fixed-step Euler gains as much as
+    # adaptive Heun. The restart reference replays the run's own states.
+    cfg = default_task_config("gaussian-deblur", guidance_solver="cg", seed=0, **sampler)
+    y = degrade(cfg)
+    x_closed, rep_closed = reconstruct(replace(cfg, guidance_solver="closed-form"), y)
+    real_make_velocity = lflow.sampler.make_velocity
+    built, states = [], []
+
+    def recording_make_velocity(*args):
+        built.append(args)
+        velocity = real_make_velocity(*args)
+
+        def recorded(z, t):
+            states.append((z.copy(), t))
+            return velocity(z, t)
+        return recorded
+
+    monkeypatch.setattr(lflow.sampler, "make_velocity", recording_make_velocity)
+    calls = count_grams(monkeypatch, CircConvOperator)
+    x_cg, rep_cg = reconstruct(cfg, y)
+    projected_grams = len(calls)
+    spec, field, _, op, y_run = built[0]
+    restart = restart_velocity(spec, field, op, y_run)
+    calls.clear()
+    for z, t in states:
+        restart(z, t)
+    restart_grams = len(calls)
+    assert rep_cg.status == rep_closed.status == "ok"
+    assert rep_cg.nfe == rep_closed.nfe == len(states)
+    assert float(np.max(np.abs(x_cg - x_closed))) < 1e-9
+    assert 2 * projected_grams <= restart_grams, (projected_grams, restart_grams)
+
+
+def test_projected_cg_start_takes_its_residual_from_a_matvec(monkeypatch):
+    # The stored products B B^T u_i only shape the start: with each one off
+    # by 0.1%, every velocity still matches the closed form, because the
+    # start's residual comes from a matvec and not from those products.
+    real_store = lflow.guidance.CgSlot.store
+    monkeypatch.setattr(lflow.guidance.CgSlot, "store",
+                        lambda slot, u, g: real_store(slot, u, 1.001 * g))
+    op, y, z = cg_problem(39)
+    field = AnalyticGaussianField(sigma_latr=0.5)
+    dec = IdentityDecoder(op.input_shape)
+    spec = GuidanceSpec(sigma_y=0.05, solver=ConjugateGradientSolver())
+    closed = make_velocity(replace(spec, solver=ClosedFormSolver()), field, dec, op, y)
+    projected = make_velocity(spec, field, dec, op, y)
+    outputs = []
+
+    def recorded(zi, t):
+        outputs.append(projected(zi, t))
+        return outputs[-1]
+
+    steps = [(-0.02, True)] * 4 + [(-0.05, False), (-0.025, True)] + [(-0.03, True)] * 8
+    states = heun_shaped_calls(recorded, z, steps)
+    for (zi, t), got in zip(states, outputs):
+        want = closed(zi, t)
+        err = float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
+        assert err < 1e-9, (t, err)
+
+
+def test_projected_cg_start_survives_collinear_histories():
+    # The same state solved again at one t stores (nearly) the same
+    # solution, and 2 z, 3 z and -z add exact multiples of it when y = 0:
+    # the small Galerkin system is singular or close to it.
+    op, y, z = cg_problem(37)
+    field = AnalyticGaussianField(sigma_latr=0.5)
+    dec = IdentityDecoder(op.input_shape)
+    spec = GuidanceSpec(sigma_y=0.05, solver=ConjugateGradientSolver())
+    for y_run in (np.zeros_like(y), y):
+        velocity = make_velocity(spec, field, dec, op, y_run)
+        for zi, t in ((z, 0.7), (z, 0.7), (z, 0.7), (2.0 * z, 0.7), (2.0 * z, 0.7),
+                      (3.0 * z, 0.7), (-z, 0.7), (z, 0.69), (z, 0.7)):
+            want = corrected_velocity(spec, field, dec, op, y_run, zi, t)
+            err = float(np.max(np.abs(velocity(zi, t) - want))) / float(np.max(np.abs(want)))
+            assert err < 1e-9, (t, err)
+
+
+def test_a_repeated_cg_solve_takes_one_matvec_per_pass(monkeypatch):
+    # The previous solution spans the repeated solve's answer, so its
+    # projected start passes the stopping rule at the residual's matvec.
+    op, y, z = cg_problem(38)
+    spec = GuidanceSpec(sigma_y=0.05, k_steps=2, solver=ConjugateGradientSolver())
+    velocity = make_velocity(spec, AnalyticGaussianField(sigma_latr=0.5),
+                             IdentityDecoder(op.input_shape), op, y)
+    velocity(z, 0.6)
+    calls = count_grams(monkeypatch, CircConvOperator)
+    velocity(z, 0.6)
+    assert len(calls) == spec.k_steps
+
+
 def test_cg_velocity_at_64_squared_pigdm_with_a_larger_iteration_cap():
     # The gaussian-deblur preset at 64^2 has A A^T eigenvalues from 1.4e-14
     # to 1, so in pigdm mode the first (cold) solve at t_s needs about 607
@@ -845,9 +940,13 @@ def test_guidance_spec_validation():
 
 
 def count_transforms(monkeypatch):
-    """Count the operators' calls of each 2-D transform, checked or not."""
+    """Count the operators' calls of each 2-D transform, checked or not.
+
+    `lflow.operators` does not import the checked inverse: every inverse
+    it takes is the private one, on a spectrum it has just built.
+    """
     calls = {}
-    for name in ("_rdft2", "_irdft2", "dft2_forward", "dft2_inverse"):
+    for name in ("_rdft2", "_irdft2", "dft2_forward"):
         real = getattr(lflow.operators, name)
 
         def counted(*args, _real=real, _name=name):

@@ -11,7 +11,10 @@ exists, so a rename fails here and not only in a traced benchmark run.
 
 `lflow.numerics` is the package's only route to numpy's FFT: no other
 package module names `np.fft` or imports from `numpy.fft`, so every
-transform goes through its checked or private pair.
+transform goes through its checked or private pair. Likewise its `dot`
+is the only route to BLAS inner products: `.dot` and `.vdot` are named
+nowhere else in the package, so no result depends on the BLAS thread
+count through one.
 """
 
 from __future__ import annotations
@@ -137,3 +140,36 @@ def test_numpy_fft_is_referenced_only_in_numerics():
     outside = {name: lines for name, lines in found.items()
                if lines and name != "numerics.py"}
     assert not outside, outside
+
+
+def dot_references(source: str) -> list[int]:
+    """Lines that name a `.dot` or `.vdot` attribute: `x.dot`, `np.dot`, `np.vdot`."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in ("dot", "vdot"))
+
+
+def test_the_dot_scan_finds_every_form():
+    source = (
+        "import numpy as np\n"
+        "a = np.vdot(x, y)\n"
+        "b = np.dot(x, y)\n"
+        "c = x.ravel().dot(y)\n"
+        "d = dot(x, y)\n"
+    )
+    assert dot_references(source) == [2, 3, 4]
+
+
+def test_blas_inner_products_are_named_only_in_the_numerics_dot():
+    numerics = (ROOT / "src" / "lflow" / "numerics.py").read_text(encoding="utf-8")
+    helper = next(node for node in ast.parse(numerics).body
+                  if isinstance(node, ast.FunctionDef) and node.name == "dot")
+    inside = range(helper.lineno, helper.end_lineno + 1)
+    found = {}
+    for path in sorted((ROOT / "src" / "lflow").glob("*.py")):
+        lines = dot_references(path.read_text(encoding="utf-8"))
+        if path.name == "numerics.py":
+            assert any(line in inside for line in lines)
+            lines = [line for line in lines if line not in inside]
+        if lines:
+            found[path.name] = lines
+    assert not found, found

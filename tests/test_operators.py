@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from lflow.decoders import DiagonalScaleDecoder, LinearMatrixDecoder, latent_operator
-from lflow.errors import DimensionGuardError, ShapeMismatchError
+from lflow.errors import DimensionGuardError, NonFiniteError, ShapeMismatchError
 from lflow.numerics import dft2_forward, dft2_inverse, make_rng
 from lflow.operators import (
     DENSE_MATERIALIZE_LIMIT,
@@ -192,6 +192,36 @@ def test_spectral_members_equal_their_out_of_place_formulas_bit_for_bit(side):
         assert np.array_equal(op.apply_coeffs(x), apply_ref)
         assert np.array_equal(op.adjoint_coeffs(w), adjoint_ref)
         assert np.array_equal(op.gram(u), gram_ref)
+
+
+@pytest.mark.parametrize("side", [64, 256])
+def test_apply_and_adjoint_keep_the_checked_pair_bits_and_input_checks(side):
+    # Their inverse runs on the product spectrum they built, with no copy
+    # and no scan: the bits of the checked pair, while a non-finite input
+    # still fails in the checked forward transform.
+    rng = make_rng(side + 1)
+    kernel = build_gaussian_kernel(7, 1.5)
+    for op in (CircConvOperator(kernel, (side, side)),
+               ConvDownsampleOperator(build_bicubic_kernel(2), (side, side), 2)):
+        s = getattr(op, "factor", 1)
+        x = rng.normal(size=op.input_shape)
+        y = rng.normal(size=op.output_shape)
+        # The product spectra as the members spell them: numpy's operand
+        # order for a large complex product depends on the spelling.
+        apply_ref = dft2_inverse(op.khat * dft2_forward(x), op.input_shape)[::s, ::s]
+        if s > 1:
+            adjoint_spectrum = op._adjoint_spectrum(op.coeffs(y))
+        else:
+            adjoint_spectrum = op._khat_conj * op.coeffs(y)
+        adjoint_ref = dft2_inverse(adjoint_spectrum, op.input_shape)
+        assert np.array_equal(op.apply(x), apply_ref)
+        assert np.array_equal(op.adjoint(y), adjoint_ref)
+        x[3, 5] = np.nan
+        y[1, 2] = np.inf
+        with pytest.raises(NonFiniteError):
+            op.apply(x)
+        with pytest.raises(NonFiniteError):
+            op.adjoint(y)
 
 
 @pytest.mark.parametrize("idx", range(OPERATOR_COUNT))

@@ -4,10 +4,15 @@ End-to-end runs here use 16x16 images and loose tolerances: the point is
 pipeline plumbing (centering, splicing, reporting, determinism), not
 reconstruction quality, which the acceptance suite measures at full size.
 The CG-versus-closed-form runs use the 32x32 presets instead, so the
-iterative solve sees a realistic spectrum.
+iterative solve sees a realistic spectrum. The BLAS-thread check runs
+256x256 reconstructs in subprocesses, since the thread count is fixed
+when numpy loads.
 """
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import asdict, fields, replace
 
@@ -15,6 +20,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import lflow
 
 from lflow.config import CONFIG_SCHEMA
 from lflow.errors import ConfigError
@@ -383,3 +390,28 @@ def test_every_drawn_config_builds_or_is_a_config_error(sections):
             resolve_truth(cfg)
         except ConfigError:
             pass
+
+
+DIGEST_SCRIPT = """
+import hashlib, sys
+from lflow.tasks import default_task_config, degrade, reconstruct
+cfg = default_task_config(sys.argv[1], size=256, seed=1)
+x, rep = reconstruct(cfg, degrade(cfg))
+print(rep.status, rep.nfe, hashlib.sha256(x.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("kind", ["gaussian-deblur", "super-resolution"])
+def test_256_squared_reconstruct_bits_do_not_depend_on_blas_threads(kind):
+    # OpenBLAS splits a 65,536-entry dot product across its threads, so a
+    # state norm taken through BLAS would round differently with 2 threads.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lflow.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", DIGEST_SCRIPT, kind], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        outputs.append(run.stdout.split())
+    assert outputs[0][0] == "ok", outputs
+    assert outputs[0] == outputs[1], outputs
