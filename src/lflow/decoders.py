@@ -1,22 +1,25 @@
 """Decoders mapping latent states to pixel fields.
 
 Sampling runs in latent space; the measurement operators act on fields.
-A decoder bridges the two. All three kinds here are linear, and the
-encode direction is a ridge-regularized least-squares solve.
+A decoder bridges the two. Both kinds here are linear, and each owns its
+formulas: `decode(z)`, the ridge-regularized least-squares preimage
+`encode(x)`, and `compose(op)`. The identity decoder is the scale
+decoder at scale 1.0, whose decode and encode are exact.
 
 Guidance sees the measurement map from latent space, B = A o decode.
-`latent_operator` builds it once per run and is the only place that
-decides how a decoder enters it: the identity decoder gives the operator
-itself, a scale decoder wraps it in a `ScaledOperator` over the same
-basis, and a matrix decoder gives a `DenseOperator` whose columns are A
-applied to the decoder's columns. Each result has the operator protocol
-of `lflow.operators`, basis members included.
+`latent_operator` builds it once per run through the decoder's
+`compose`: a scale decoder wraps the operator in a `ScaledOperator` over
+the same basis (the unit scale returns the operator itself), and a
+matrix decoder gives a `DenseOperator` whose columns are A applied to
+the decoder's columns. Each result has the operator protocol of
+`lflow.operators`, basis members included.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -26,24 +29,6 @@ from .operators import DenseOperator, LinearOperatorDescriptor
 
 ENCODE_RIDGE = 1e-10
 ZERO_SCALE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class IdentityDecoder:
-    """Latent and field coincide."""
-
-    shape: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "shape", tuple(self.shape))
-
-    @property
-    def latent_shape(self) -> tuple:
-        return self.shape
-
-    @property
-    def field_shape(self) -> tuple:
-        return self.shape
 
 
 @dataclass(frozen=True)
@@ -69,6 +54,20 @@ class DiagonalScaleDecoder:
     def field_shape(self) -> tuple:
         return self.shape
 
+    def decode(self, z: np.ndarray) -> RealField:
+        return self.scale * z
+
+    def encode(self, x: np.ndarray) -> RealField:
+        return self.scale * x / (self.scale**2 + ENCODE_RIDGE)
+
+    def compose(self, op: LinearOperatorDescriptor):
+        return op if self.scale == 1.0 else ScaledOperator(op, self.scale)
+
+
+# Latent and field coincide: the unit scale, whose decode is an exact
+# copy and whose composition is the operator itself.
+IdentityDecoder = partial(DiagonalScaleDecoder, 1.0)
+
 
 class LinearMatrixDecoder:
     """Field is an arbitrary matrix applied to the flattened latent."""
@@ -89,41 +88,39 @@ class LinearMatrixDecoder:
         self.field_shape = tuple(field_shape)
         self._encode_factor = None
 
-    def _solve_encode(self, rhs: np.ndarray) -> np.ndarray:
+    def decode(self, z: np.ndarray) -> RealField:
+        return (self.matrix @ z.ravel()).reshape(self.field_shape)
+
+    def encode(self, x: np.ndarray) -> RealField:
         if self._encode_factor is None:
             mtm = self.matrix.T @ self.matrix
             mtm = mtm + ENCODE_RIDGE * np.eye(mtm.shape[0])
             self._encode_factor = np.linalg.cholesky(mtm)
         low = self._encode_factor
-        return np.linalg.solve(low.T, np.linalg.solve(low, rhs))
+        rhs = self.matrix.T @ x.ravel()
+        return np.linalg.solve(low.T, np.linalg.solve(low, rhs)).reshape(self.latent_shape)
+
+    def compose(self, op: LinearOperatorDescriptor) -> DenseOperator:
+        columns = [op.apply(col.reshape(self.field_shape)).ravel() for col in self.matrix.T]
+        return DenseOperator(np.stack(columns, axis=1), input_shape=self.latent_shape,
+                             output_shape=op.output_shape)
 
 
-DecoderSpec = IdentityDecoder | DiagonalScaleDecoder | LinearMatrixDecoder
+DecoderSpec = DiagonalScaleDecoder | LinearMatrixDecoder
 
 
 def decode(decoder: DecoderSpec, latent) -> RealField:
     """Map a latent state to its pixel field."""
-    z = check_shape("decode", latent, decoder.latent_shape)
-    if isinstance(decoder, IdentityDecoder):
-        return z.copy()
-    if isinstance(decoder, DiagonalScaleDecoder):
-        return decoder.scale * z
-    return (decoder.matrix @ z.ravel()).reshape(decoder.field_shape)
+    return decoder.decode(check_shape("decode", latent, decoder.latent_shape))
 
 
 def encode(decoder: DecoderSpec, field) -> RealField:
     """Ridge least-squares preimage of a field under the decoder.
 
     Solves (J^T J + 1e-10 I) c = J^T x, which is exact inversion for the
-    identity and scaling decoders up to the negligible ridge.
+    scale decoders up to the negligible ridge.
     """
-    x = check_shape("encode", field, decoder.field_shape)
-    if isinstance(decoder, IdentityDecoder):
-        return x / (1.0 + ENCODE_RIDGE)
-    if isinstance(decoder, DiagonalScaleDecoder):
-        return decoder.scale * x / (decoder.scale**2 + ENCODE_RIDGE)
-    rhs = decoder.matrix.T @ x.ravel()
-    return decoder._solve_encode(rhs).reshape(decoder.latent_shape)
+    return decoder.encode(check_shape("encode", field, decoder.field_shape))
 
 
 class ScaledOperator:
@@ -162,18 +159,12 @@ class ScaledOperator:
 def latent_operator(op: LinearOperatorDescriptor, decoder: DecoderSpec):
     """B = A o decode, the measurement map seen from latent space.
 
-    The identity decoder returns op itself, a scale decoder a
-    `ScaledOperator` over op's basis, and a matrix decoder M the
-    `DenseOperator` with columns A M[:, j] (any operator kind; its basis
-    is the cached eigendecomposition of B B^T), on op's measurement grid.
+    A scale decoder gives a `ScaledOperator` over op's basis, or op
+    itself at scale 1.0, and a matrix decoder M the `DenseOperator` with
+    columns A M[:, j] (any operator kind; its basis is the cached
+    eigendecomposition of B B^T), on op's measurement grid.
     """
     if decoder.field_shape != tuple(op.input_shape):
         raise ShapeMismatchError(f"decoder field shape {decoder.field_shape} is not "
                                  f"the operator input shape {tuple(op.input_shape)}")
-    if isinstance(decoder, IdentityDecoder):
-        return op
-    if isinstance(decoder, DiagonalScaleDecoder):
-        return ScaledOperator(op, decoder.scale)
-    columns = [op.apply(col.reshape(decoder.field_shape)).ravel() for col in decoder.matrix.T]
-    return DenseOperator(np.stack(columns, axis=1), input_shape=decoder.latent_shape,
-                         output_shape=op.output_shape)
+    return decoder.compose(op)

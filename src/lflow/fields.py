@@ -20,11 +20,13 @@ s2 = (1-t)^2 sigma^2 + t^2.
 External (learned) fields plug in through `CallbackField`; their covariance
 comes from a CovarianceMode evaluated at the field's surrogate sigma, since
 nothing here differentiates a black box. Every mode takes the field: lflow
-reads its sigma, and the other three ignore it.
+reads its sigma, and the other three ignore it. Both field kinds expose
+`velocity(z, t)` and `sigma_latr` (a callback field's is its surrogate).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -42,14 +44,19 @@ class AnalyticGaussianField:
     sigma_latr: float = 1.0
 
     def __post_init__(self):
-        if self.sigma_latr <= 0:
-            raise ValueError(f"sigma_latr must be > 0, got {self.sigma_latr}")
+        s = self.sigma_latr
+        if not (s > 0.0 and 0.0 < s * s < math.inf):
+            raise ValueError("sigma_latr must be > 0 with a square that neither "
+                             f"overflows nor underflows, got {s}")
 
     def scalar(self, t: float) -> float:
         """s(t) such that v(z, t) = s(t) z."""
         s2 = self.sigma_latr**2
         om = 1.0 - t
         return (t - om * s2) / (om * om * s2 + t * t)
+
+    def velocity(self, z: RealField, t: float) -> RealField:
+        return self.scalar(t) * np.asarray(z, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -65,22 +72,20 @@ class CallbackField:
     fn: Callable[[np.ndarray, float], np.ndarray]
     surrogate_sigma_latr: float = 1.0
 
+    def velocity(self, z: RealField, t: float) -> RealField:
+        return np.asarray(self.fn(z, t), dtype=np.float64)
+
+    @property
+    def sigma_latr(self) -> float:
+        return self.surrogate_sigma_latr
+
 
 VectorFieldSpec = Union[AnalyticGaussianField, CallbackField]
 
 
-def field_evaluator(field: VectorFieldSpec) -> Callable[[RealField, float], RealField]:
-    """v(z, t) of the given field, with the field kind resolved once."""
-    if isinstance(field, AnalyticGaussianField):
-        scalar = field.scalar
-        return lambda z, t: scalar(t) * np.asarray(z, dtype=np.float64)
-    fn = field.fn
-    return lambda z, t: np.asarray(fn(z, t), dtype=np.float64)
-
-
 def eval_field(field: VectorFieldSpec, z: RealField, t: float) -> RealField:
     """Velocity v(z, t) of the given field."""
-    return field_evaluator(field)(z, t)
+    return field.velocity(z, t)
 
 
 def posterior_mean(field: VectorFieldSpec, z: RealField, t: float) -> RealField:
@@ -90,9 +95,7 @@ def posterior_mean(field: VectorFieldSpec, z: RealField, t: float) -> RealField:
 
 def field_sigma_latr(field: VectorFieldSpec) -> float:
     """Prior std associated with a field (surrogate for callbacks)."""
-    if isinstance(field, AnalyticGaussianField):
-        return field.sigma_latr
-    return field.surrogate_sigma_latr
+    return field.sigma_latr
 
 
 def mean_jacobian_fn(field: VectorFieldSpec) -> Callable[[float], float]:

@@ -78,7 +78,6 @@ from .fields import (
     CovarianceMode,
     VectorFieldSpec,
     eval_field,
-    field_evaluator,
     mean_jacobian_fn,
     mean_jacobian_scalar,
     posterior_cov_fn,
@@ -388,8 +387,8 @@ def make_velocity(spec: GuidanceSpec, field: VectorFieldSpec, dec: DecoderSpec,
     y_hat = b.coeffs(y)
     apply_coeffs = b.apply_coeffs
     adjoint_coeffs = b.adjoint_coeffs
-    # The field kind and the covariance mode are fixed for the run.
-    field_velocity = field_evaluator(field)
+    # The field and the covariance mode are fixed for the run.
+    field_velocity = field.velocity
     mean_jacobian = mean_jacobian_fn(field)
     cov = posterior_cov_fn(spec.cov_mode, field)
 

@@ -46,12 +46,9 @@ class LinearGaussianModel:
 
     def decoder_matrix(self) -> np.ndarray:
         dec = self.decoder
-        if isinstance(dec, IdentityDecoder):
-            return np.eye(int(np.prod(dec.shape)))
-        if isinstance(dec, DiagonalScaleDecoder):
-            return dec.scale * np.eye(int(np.prod(dec.shape)))
-        assert isinstance(dec, LinearMatrixDecoder)
-        return dec.matrix.copy()
+        if isinstance(dec, LinearMatrixDecoder):
+            return dec.matrix.copy()
+        return dec.scale * np.eye(int(np.prod(dec.shape)))
 
     def effective_matrix(self) -> np.ndarray:
         """B = A M, the measurement map seen from latent space."""

@@ -24,7 +24,9 @@ a NaN or Inf entry (NonFiniteError) from a finite state whose squared
 norm overflows (recorded as an infinite norm). In the adaptive stepper a
 non-finite error estimate whose stages hold a non-finite entry is a
 NonFiniteError naming the stage's time, not a rejection; a finite stage
-pair whose error estimate overflows stays a rejection.
+pair whose error estimate overflows stays a rejection. Since both
+overflows are handled, the stepping loop runs under one
+np.errstate(over="ignore") per run, not one per dot product.
 
 The adaptive loop computes the inverse error scale 1 / (atol + rtol |z|)
 once per accepted state, not once per attempt. From the one difference
@@ -263,8 +265,9 @@ def integrate(config: SamplerConfig, field: VectorFieldSpec, dec: DecoderSpec,
     else:
         run = _run_adaptive
     try:
-        rec.add(config.t_s, z)
-        z = run(config, f, z, t_min, rec)
+        with np.errstate(over="ignore"):
+            rec.add(config.t_s, z)
+            z = run(config, f, z, t_min, rec)
     except LflowError as exc:
         exc.trajectory = traj
         raise

@@ -15,6 +15,7 @@ one), so the centering is exact, not approximate.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -25,7 +26,7 @@ from .decoders import DiagonalScaleDecoder, IdentityDecoder, decode
 from .errors import ConfigError, ImageFormatError, LflowError, ZeroScaleError
 from .fields import AnalyticGaussianField, COV_MODE_KINDS, CovarianceMode
 from .guidance import ClosedFormSolver, ConjugateGradientSolver, GuidanceSpec
-from .metrics import mse as mse_metric, psnr, ssim
+from .metrics import SSIM_WINDOW_SIZE, mse as mse_metric, psnr, ssim
 from .numerics import make_rng
 from .operators import (
     CircConvOperator,
@@ -120,18 +121,17 @@ class TaskConfig:
             value = getattr(self, attr)
             if value not in allowed:
                 raise ValueError(f"{_CONFIG_KEY[attr]}: {value!r} not one of {allowed}")
-        if self.size < 1:
-            raise ValueError(f"{_CONFIG_KEY['size']}: must be >= 1, got {self.size}")
-        if self.image == SYNTHETIC_IMAGE and self.size < SYNTHETIC_MIN_SIZE:
-            raise ValueError(f"{_CONFIG_KEY['size']}: must be >= {SYNTHETIC_MIN_SIZE} for "
-                             f"{_CONFIG_KEY['image']} = {SYNTHETIC_IMAGE}, got {self.size}")
         # Values the runtime objects would reject under their own field
         # names, checked here so the message names the config key.
         std = self.kernel_std
+        s_latr = self.sigma_latr
         deblur = self.kind in ("gaussian-deblur", "motion-deblur")
         for attr, ok, rule in (
+            ("size", self.size >= SSIM_WINDOW_SIZE,
+             f">= {SSIM_WINDOW_SIZE}, the side of the SSIM window"),
             ("sigma_y", self.sigma_y >= 0.0, ">= 0"),
-            ("sigma_latr", self.sigma_latr > 0.0, "> 0"),
+            ("sigma_latr", s_latr > 0.0 and 0.0 < s_latr * s_latr < math.inf,
+             "> 0 with a square that neither overflows nor underflows"),
             ("k_steps", self.k_steps >= 1, ">= 1"),
             ("kernel_std", self.kind != "gaussian-deblur" or (std > 0.0 and std * std > 0.0),
              "> 0 with a square that does not underflow"),
@@ -144,10 +144,11 @@ class TaskConfig:
             if not ok:
                 raise ValueError(f"{_CONFIG_KEY[attr]}: must be {rule}, "
                                  f"got {getattr(self, attr)!r}")
-        if self.sigma_y == 0.0 and self.cov_mode == "zero":
+        if self.sigma_y * self.sigma_y == 0.0 and self.cov_mode == "zero":
             raise ConfigError(f"{_CONFIG_KEY['sigma_y']} = 0 with {_CONFIG_KEY['cov_mode']} "
                               f"= zero makes the measurement system S = sigma_y^2 I "
-                              f"+ r2 A A^T singular (r2 = 0 in zero mode)")
+                              f"+ r2 A A^T singular (r2 = 0 in zero mode, and "
+                              f"sigma_y^2 = 0 at sigma_y = {self.sigma_y!r})")
         size = f"{_CONFIG_KEY['size']} ({self.size})"
         if self.kind == "box-inpaint" and not 0 <= self.box_size <= self.size:
             raise ValueError(f"{_CONFIG_KEY['box_size']}: must be between 0 and {size}, "

@@ -150,12 +150,16 @@ def test_unknown_config_key_exits_with_a_usage_error(tmp_path, capsys):
     ("[task]\nkind = box-inpaint\nbox_size = 80\n", "[task]"),
     ("[guidance]\ncov_mode = bogus\n", "[guidance] cov_mode"),
     ("[task]\nkind = box-inpaint\nsize = 16\nbox_size = 17\n", "[task] box_size"),
-    ("[task]\nkind = gaussian-deblur\nsize = 8\nkernel_size = 9\n", "[task] kernel_size"),
-    ("[task]\nkind = motion-deblur\nsize = 8\nkernel_size = 9\n", "[task] kernel_size"),
+    ("[task]\nkind = gaussian-deblur\nsize = 12\nkernel_size = 13\n", "[task] kernel_size"),
+    ("[task]\nkind = motion-deblur\nsize = 12\nkernel_size = 13\n", "[task] kernel_size"),
     ("[task]\nkind = super-resolution\nsize = 63\nsr_factor = 2\n", "[task] sr_factor"),
-    ("[task]\nkind = super-resolution\nsize = 4\nsr_factor = 2\n", "[task] sr_factor"),
+    ("[task]\nkind = super-resolution\nsize = 12\nsr_factor = 4\n", "[task] sr_factor"),
     ("[task]\nkind = motion-deblur\nkernel_length = 12\n", "[task] kernel_length"),
     ("[task]\nsize = 16\nsigma_y = 0\n[guidance]\ncov_mode = zero\nsolver = cg\n",
+     "[task] sigma_y = 0 with [guidance] cov_mode = zero"),
+    ("[task]\nkind = box-inpaint\nsigma_y = 1e-200\n[guidance]\ncov_mode = zero\n",
+     "[task] sigma_y = 0 with [guidance] cov_mode = zero"),
+    ("[task]\nkind = gaussian-deblur\nsigma_y = 1e-200\n[guidance]\ncov_mode = zero\n",
      "[task] sigma_y = 0 with [guidance] cov_mode = zero"),
     ("[prior]\ndecoder_kind = scale\ndecoder_scale = nan\n", "[prior] decoder_scale"),
     ("[prior]\ndecoder_kind = scale\ndecoder_scale = inf\n", "[prior] decoder_scale"),
@@ -164,8 +168,11 @@ def test_unknown_config_key_exits_with_a_usage_error(tmp_path, capsys):
     ("[task]\nsigma_y = nan\n", "[task] sigma_y"),
     ("[prior]\nsigma_latr = 0\n", "[prior] sigma_latr"),
     ("[prior]\nsigma_latr = -1\n", "[prior] sigma_latr"),
+    ("[prior]\nsigma_latr = 1.35e154\n", "[prior] sigma_latr"),
+    ("[prior]\nsigma_latr = 1e-200\n", "[prior] sigma_latr"),
     ("[task]\nsize = 2\nkernel_size = 1\n", "[task] size"),
     ("[task]\nsize = 3\nkernel_size = 1\n", "[task] size"),
+    ("[task]\nsize = 8\nkernel_size = 5\n", "[task] size"),
     ("[task]\nsigma_y = -0.1\n", "[task] sigma_y"),
     ("[task]\nkernel_std = -1\n", "[task] kernel_std"),
     ("[task]\nkernel_std = 1e-200\n", "[task] kernel_std"),
@@ -176,11 +183,13 @@ def test_unknown_config_key_exits_with_a_usage_error(tmp_path, capsys):
     ("[sampler]\nseed = -1\n", "[sampler] seed"),
 ], ids=["k_steps", "k_steps_literal", "box_size", "cov_mode", "box_size_key",
         "gaussian_kernel_size", "motion_kernel_size", "sr_factor", "sr_kernel_too_big",
-        "kernel_length", "singular_system", "scale_nan", "scale_inf", "scale_zero",
-        "sigma_latr_nan", "sigma_y_nan", "sigma_latr_zero", "sigma_latr_negative", "size_2",
-        "size_3", "sigma_y_negative", "kernel_std_negative", "kernel_std_underflow",
-        "kernel_size_even", "cg_tol_zero", "cg_max_iter_zero", "image_missing",
-        "seed_negative"])
+        "kernel_length", "singular_system", "singular_system_inpaint_square",
+        "singular_system_deblur_square", "scale_nan", "scale_inf", "scale_zero",
+        "sigma_latr_nan", "sigma_y_nan", "sigma_latr_zero", "sigma_latr_negative",
+        "sigma_latr_square_overflow", "sigma_latr_square_underflow", "size_2",
+        "size_3", "size_below_ssim_window", "sigma_y_negative", "kernel_std_negative",
+        "kernel_std_underflow", "kernel_size_even", "cg_tol_zero", "cg_max_iter_zero",
+        "image_missing", "seed_negative"])
 def test_bad_config_values_exit_with_a_usage_error(tmp_path, capsys, text, blamed):
     bad = tmp_path / "bad.cfg"
     bad.write_text(text)

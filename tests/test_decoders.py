@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from lflow.decoders import (
+    ENCODE_RIDGE,
     DiagonalScaleDecoder,
     IdentityDecoder,
     LinearMatrixDecoder,
@@ -112,6 +113,7 @@ def test_scale_decoder_rejects_a_non_finite_scale(value):
 def test_latent_operator_composes_the_operator_with_decode():
     op = CircConvOperator(build_gaussian_kernel(3, 1.0), (4, 4))
     assert latent_operator(op, IdentityDecoder((4, 4))) is op
+    assert latent_operator(op, DiagonalScaleDecoder(1.0, (4, 4))) is op
     rng = make_rng(8)
     for dec in (DiagonalScaleDecoder(-1.5, (4, 4)),
                 LinearMatrixDecoder(rng.normal(size=(16, 5)), field_shape=(4, 4))):
@@ -119,3 +121,13 @@ def test_latent_operator_composes_the_operator_with_decode():
         assert b.input_shape == dec.latent_shape and b.output_shape == op.output_shape
         z = rng.normal(size=dec.latent_shape)
         np.testing.assert_allclose(b.apply(z), op.apply(decode(dec, z)), atol=1e-12)
+
+
+def test_identity_decoder_keeps_the_exact_formulas():
+    # The unit scale gives the bits of a copy and of x / (1 + ridge), over
+    # the whole exponent range.
+    dec = IdentityDecoder((3, 4))
+    rng = make_rng(9)
+    z = rng.normal(size=(3, 4)) * 10.0 ** rng.integers(-300, 300, size=(3, 4))
+    np.testing.assert_array_equal(decode(dec, z), z.copy())
+    np.testing.assert_array_equal(encode(dec, z), z / (1.0 + ENCODE_RIDGE))

@@ -191,6 +191,7 @@ def test_callback_field_delegates_evaluation():
     np.testing.assert_allclose(eval_field(field, z, 0.4), 2.0 * z)
     assert calls == [0.4]
     assert field_sigma_latr(field) == 0.7
+    assert field.sigma_latr == 0.7
     # The denoised-mean chain and its Jacobian use the surrogate width.
     surrogate = AnalyticGaussianField(sigma_latr=0.7)
     assert mean_jacobian_scalar(field, 0.4) == pytest.approx(
@@ -203,6 +204,12 @@ def test_field_rejects_nonpositive_width():
         AnalyticGaussianField(sigma_latr=0.0)
     with pytest.raises(ValueError):
         AnalyticGaussianField(sigma_latr=-1.0)
+
+
+@pytest.mark.parametrize("width", [1.35e154, 1e-200, float("nan"), float("inf")])
+def test_field_rejects_a_width_whose_square_is_not_finite_and_positive(width):
+    with pytest.raises(ValueError, match="neither overflows nor underflows"):
+        AnalyticGaussianField(sigma_latr=width)
 
 
 def test_covariance_mode_validation():

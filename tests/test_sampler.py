@@ -433,8 +433,7 @@ def test_finite_state_whose_norm_overflows_is_recorded():
     dec = IdentityDecoder((2, 2))
     op = MaskOperator(np.ones((2, 2)))
     config = SamplerConfig(solver=EulerSolver(steps=4), guidance=quiet_guidance())
-    with np.errstate(over="ignore"):
-        z, traj = integrate(config, field, dec, op, np.zeros(4), make_rng(0))
+    z, traj = integrate(config, field, dec, op, np.zeros(4), make_rng(0))
     assert np.all(np.isfinite(z))
     assert traj.accepted == 4
     assert traj.state_norms[-1] == np.inf
@@ -467,9 +466,8 @@ def test_persistent_rejection_underflows_the_step():
         field = CallbackField(
             lambda z, t, a=amplitude: a * np.cos(1e9 * t) * np.ones_like(z)
         )
-        with np.errstate(over="ignore"):
-            with pytest.raises(StepUnderflowError):
-                integrate(config, field, dec, op, np.zeros(4), make_rng(12))
+        with pytest.raises(StepUnderflowError):
+            integrate(config, field, dec, op, np.zeros(4), make_rng(12))
 
 
 def test_trajectory_csv_round_trip(tmp_path):

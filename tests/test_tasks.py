@@ -26,6 +26,7 @@ import lflow
 from lflow.config import CONFIG_SCHEMA
 from lflow.errors import ConfigError
 from lflow.fields import COV_MODE_KINDS
+from lflow.metrics import SSIM_WINDOW_SIZE
 from lflow.numerics import make_rng
 from lflow.operators import CircConvOperator, ConvDownsampleOperator, MaskOperator
 from lflow.sampler import INIT_MODES
@@ -78,6 +79,12 @@ def test_config_vocabulary_validation():
         TaskConfig(init_mode="warm")
     with pytest.raises(ValueError):
         TaskConfig(size=0)
+
+
+def test_size_must_hold_the_ssim_window():
+    with pytest.raises(ValueError, match=r"\[task\] size: must be >= 11"):
+        TaskConfig(size=SSIM_WINDOW_SIZE - 1, kernel_size=5)
+    assert TaskConfig(size=SSIM_WINDOW_SIZE, kernel_size=5).size == SSIM_WINDOW_SIZE
 
 
 def test_presets_assign_per_task_tolerances():
