@@ -1,13 +1,13 @@
 """Linear measurement operators and their adjoints.
 
-Four kinds cover the tasks the package solves plus brute-force testing:
+Three classes cover the tasks the package solves plus brute-force testing:
 
 * `MaskOperator`: entry selection (compact output) for inpainting; the
   adjoint zero-fills back onto the grid.
-* `CircConvOperator`: circular (periodic) convolution, diagonal in the
-  real 2-D DFT basis, for deblurring.
-* `ConvDownsampleOperator`: circular convolution followed by s-fold
-  subsampling of both axes, for super-resolution.
+* `ConvDownsampleOperator`: circular (periodic) convolution followed by
+  s-fold subsampling of both axes, for super-resolution. At s = 1 it is
+  plain circular convolution, for deblurring: `CircConvOperator(kernel,
+  shape)` is this class at factor 1 under the kind "circconv".
 * `DenseOperator`: an explicit matrix, the anything-goes case used by the
   verification oracle.
 
@@ -16,40 +16,46 @@ apply_coeffs(adjoint_coeffs(w)) = gram_eigenvalues * w: `coeffs(y)` expands
 a measurement in it, `apply_coeffs(x)` gives the coefficients of A x, and
 `adjoint_coeffs(w)` applies A^T to the measurement with coefficients w.
 `gram(u)` returns A A^T u on the measurement grid without leaving it:
-the convolution operators multiply u's coefficients by `gram_eigenvalues`
+the convolution multiplies u's coefficients by `gram_eigenvalues`
 (one forward and one inverse transform on the measurement grid), the mask
 copies u, and a dense operator applies A^T then A. Its result is always a
 fresh array, which the CG matvec in `lflow.guidance` scales in place.
-The two convolution operators use the real DFT (see `lflow.numerics`):
-their coefficients and `gram_eigenvalues` are half-spectra of the
-measurement grid, (h, w//2 + 1) for an (h, w) grid; the other half follows
-by Hermitian symmetry. Where an array enters from outside a run, their
+The convolution uses the real DFT (see `lflow.numerics`): its
+coefficients and `gram_eigenvalues` are half-spectra of the measurement
+grid, (h, w//2 + 1) for an (h, w) grid; the other half follows by
+Hermitian symmetry. Where an array enters from outside a run, its
 forward transform is the checked `dft2_forward`, which rejects non-finite
 input: `coeffs` (a measurement), `apply`, `adjoint`, `lift` and the
-kernel spectra built in `__init__`. The members a guidance evaluation
+kernel spectrum built in `__init__`. The members a guidance evaluation
 calls, `apply_coeffs`, `adjoint_coeffs` and `gram`, use the unchecked
 private `_rdft2` instead: their inputs are states and solver iterates
 that the run checks elsewhere (the measurement once per run in
 `lflow.guidance.make_velocity`, every accepted state in the sampler's
 recorder). Every inverse is the private `_irdft2` on a spectrum built
-for it from a checked or run-checked input, which it overwrites. They cache conj(k_hat) next to k_hat, so the
-adjoint does not conjugate per call, and `gram` scales the spectrum it
-has just computed in place. Complex-by-complex products keep the
-written form `khat * spec`: numpy's complex multiply can round
-differently with its operands swapped, so a rewrite must keep the bits
-of that expression as numpy evaluates it. Numpy computes `a * b` whose
-b is an unreferenced temporary of 256 KiB or more in place on b, with
-the operands swapped; `khat * _rdft2(x)` and `khat * dft2_forward(x)` do
-that at 256^2, in the code and in the reference formula alike. Where a
-buffer is reused on purpose the order is spelled out instead: the
-downsampler's adjoint writes np.multiply(conj_khat, tiled, out=tiled),
-the operand order of `conj_khat * tile`, which its owned tile would
-otherwise swap.
+for it from a checked or run-checked input, which it overwrites. The
+convolution caches conj(k_hat) next to k_hat, so the adjoint does not
+conjugate per call, and `gram` scales the spectrum it has just computed
+in place. Complex-by-complex products keep the written form
+`khat * spec`: numpy's complex multiply can round differently with its
+operands swapped, so a rewrite must keep the bits of that expression as
+numpy evaluates it. Numpy computes `a * b` whose b is an unreferenced
+temporary of 256 KiB or more in place on b, with the operands swapped;
+`khat * _rdft2(x)` and `khat * dft2_forward(x)` do that at 256^2, in the
+code and in the reference formula alike. Where a buffer is reused on
+purpose the order is spelled out instead: the adjoint writes
+np.multiply(conj_khat, tiled, out=tiled), the operand order of
+`conj_khat * tile`, which its owned tile would otherwise swap.
+
+The fold and the tile that subsampling adds are the identity at s = 1,
+and there the convolution skips them: `apply_coeffs` and
+`gram_eigenvalues` take the product spectrum as it is, and the adjoint
+multiplies conj(k_hat) into a fresh product and leaves its input alone.
 
 `lift(y)` maps a measurement back onto the input grid to seed a sampler
-run: masks zero-fill, shape-preserving operators pass y through,
-downsamplers upsample through the adjoint scaled by s^2 so flat signals
-keep their level, and other dense operators use the plain adjoint.
+run: masks zero-fill, shape-preserving operators (the convolution at
+s = 1) pass y through, downsamplers upsample through the adjoint scaled
+by s^2 so flat signals keep their level, and other dense operators use
+the plain adjoint.
 
 Boundary handling is periodic everywhere; that is what makes the Fourier
 bases exact rather than approximate. Kernels are odd-sized grids anchored
@@ -162,49 +168,6 @@ class MaskOperator:
         return self.adjoint(y)
 
 
-class CircConvOperator:
-    """Circular convolution with a fixed kernel on a fixed grid shape.
-
-    Its basis is the real 2-D DFT: coefficients are (h, w//2 + 1)
-    half-spectra, on which A A^T multiplies by |k_hat|^2.
-    """
-
-    kind = "circconv"
-
-    def __init__(self, kernel: Kernel, shape: tuple[int, int]):
-        self.kernel = kernel
-        self.input_shape = tuple(shape)
-        self.output_shape = tuple(shape)
-        self.khat = dft2_forward(embed_kernel(kernel, self.input_shape))
-        self._khat_conj = np.conj(self.khat)
-        self.gram_eigenvalues = np.abs(self.khat) ** 2
-
-    def coeffs(self, y) -> np.ndarray:
-        return dft2_forward(check_shape("circconv coeffs", y, self.output_shape))
-
-    def apply_coeffs(self, x) -> np.ndarray:
-        x = check_shape("circconv apply", x, self.input_shape)
-        return self.khat * _rdft2(x)
-
-    def adjoint_coeffs(self, w) -> np.ndarray:
-        return _irdft2(self._khat_conj * w, self.input_shape)
-
-    def apply(self, x) -> np.ndarray:
-        x = check_shape("circconv apply", x, self.input_shape)
-        return _irdft2(self.khat * dft2_forward(x), self.output_shape)
-
-    def adjoint(self, y) -> np.ndarray:
-        return _irdft2(self._khat_conj * self.coeffs(y), self.input_shape)
-
-    def gram(self, u) -> np.ndarray:
-        spec = _rdft2(check_shape("circconv gram", u, self.output_shape))
-        spec *= self.gram_eigenvalues
-        return _irdft2(spec, self.output_shape)
-
-    def lift(self, y) -> np.ndarray:
-        return as_field(y)
-
-
 class ConvDownsampleOperator:
     """Circular convolution followed by s-fold subsampling of both axes.
 
@@ -224,6 +187,10 @@ class ConvDownsampleOperator:
     the order 0, h - 1, ..., 1. Each call fills one fresh array by slice
     copies (the slices of the fold are built once in `__init__`), so
     neither needs a gather index, a concatenation or `np.tile`.
+
+    At s = 1 it is circular convolution: its basis is the real 2-D DFT of
+    the grid itself, on which A A^T multiplies by |k_hat|^2, and the fold
+    and the tile are skipped.
     """
 
     kind = "convdown"
@@ -262,6 +229,8 @@ class ConvDownsampleOperator:
 
     def _fold(self, half: np.ndarray) -> np.ndarray:
         """(h, w//2 + 1) half-spectrum -> its (m1, m2//2 + 1) block fold."""
+        if self.factor == 1:
+            return half
         gathered = np.empty(self._fold_shape, dtype=half.dtype)
         for dst, src, dst_mirror, src_mirror in self._fold_blocks:
             gathered[:, dst] = half[:, src]
@@ -290,13 +259,16 @@ class ConvDownsampleOperator:
         return tiled
 
     def coeffs(self, y) -> np.ndarray:
-        return dft2_forward(check_shape("convdown coeffs", y, self.output_shape))
+        return dft2_forward(check_shape(f"{self.kind} coeffs", y, self.output_shape))
 
     def apply_coeffs(self, x) -> np.ndarray:
-        x = check_shape("convdown apply", x, self.input_shape)
+        x = check_shape(f"{self.kind} apply", x, self.input_shape)
         return self._fold(self.khat * _rdft2(x))
 
     def _adjoint_spectrum(self, w) -> np.ndarray:
+        # At s = 1 a fresh product, so w is neither written nor copied.
+        if self.factor == 1:
+            return self._khat_conj * w
         # Spelled out with conj(k_hat) first: the tile is a fresh, unreferenced
         # array, which `self._khat_conj * self._tile(w)` would let numpy reuse
         # with the operands swapped (see the module docstring).
@@ -307,7 +279,7 @@ class ConvDownsampleOperator:
         return _irdft2(self._adjoint_spectrum(w), self.input_shape)
 
     def apply(self, x) -> np.ndarray:
-        x = check_shape("convdown apply", x, self.input_shape)
+        x = check_shape(f"{self.kind} apply", x, self.input_shape)
         blurred = _irdft2(self.khat * dft2_forward(x), self.input_shape)
         return blurred[:: self.factor, :: self.factor].copy()
 
@@ -315,12 +287,24 @@ class ConvDownsampleOperator:
         return _irdft2(self._adjoint_spectrum(self.coeffs(y)), self.input_shape)
 
     def gram(self, u) -> np.ndarray:
-        spec = _rdft2(check_shape("convdown gram", u, self.output_shape))
+        spec = _rdft2(check_shape(f"{self.kind} gram", u, self.output_shape))
         spec *= self.gram_eigenvalues
         return _irdft2(spec, self.output_shape)
 
     def lift(self, y) -> np.ndarray:
+        if self.factor == 1:
+            return as_field(y)
         return float(self.factor**2) * self.adjoint(y)
+
+
+class CircConvOperator(ConvDownsampleOperator):
+    """Circular convolution with a fixed kernel on a fixed grid shape: the
+    convolution-downsampler at factor 1."""
+
+    kind = "circconv"
+
+    def __init__(self, kernel: Kernel, shape: tuple[int, int]):
+        super().__init__(kernel, shape, 1)
 
 
 def _conj_mirror_rows(src: np.ndarray, out: np.ndarray) -> None:
@@ -390,7 +374,7 @@ class DenseOperator:
 
 
 LinearOperatorDescriptor = (
-    MaskOperator | CircConvOperator | ConvDownsampleOperator | DenseOperator
+    MaskOperator | ConvDownsampleOperator | DenseOperator
 )
 
 

@@ -141,8 +141,8 @@ class Trajectory:
     """Per-run record: accepted times plus evaluation accounting.
 
     The parallel lists times / nfe_cumulative / state_norms (and
-    residual_norms and states, when their recording was requested) hold
-    one entry per accepted point, starting at t_s. nfe counts every
+    residual_norms, when their recording was requested) hold one entry
+    per accepted point, starting at t_s. nfe counts every
     velocity evaluation including rejected attempts.
     """
 
@@ -150,7 +150,6 @@ class Trajectory:
     nfe_cumulative: list = dataclass_field(default_factory=list)
     state_norms: list = dataclass_field(default_factory=list)
     residual_norms: list = dataclass_field(default_factory=list)
-    states: list | None = None
     nfe: int = 0
     clamp_events: int = 0
     accepted: int = 0
@@ -191,11 +190,9 @@ def init_state(config: SamplerConfig, dec: DecoderSpec, op: LinearOperatorDescri
 class _Recorder:
     """Accumulates the trajectory during a run."""
 
-    def __init__(self, traj: Trajectory, record_states: bool, residual_fn):
+    def __init__(self, traj: Trajectory, residual_fn):
         self.traj = traj
         self.residual_fn = residual_fn
-        if record_states:
-            traj.states = []
 
     def add(self, t: float, z: np.ndarray) -> None:
         """Record the point (t, z); every point after the start is an
@@ -217,13 +214,10 @@ class _Recorder:
         traj.state_norms.append(math.sqrt(sq))
         if self.residual_fn is not None:
             traj.residual_norms.append(self.residual_fn(z, t))
-        if traj.states is not None:
-            traj.states.append(z.copy())
 
 
 def integrate(config: SamplerConfig, field: VectorFieldSpec, dec: DecoderSpec,
               op: LinearOperatorDescriptor, y, rng: SeededRng,
-              record_states: bool = False,
               record_residuals: bool = False) -> tuple[RealField, Trajectory]:
     """Run the reverse ODE from t_s down to t_min.
 
@@ -257,7 +251,7 @@ def integrate(config: SamplerConfig, field: VectorFieldSpec, dec: DecoderSpec,
             r = y - op.apply(decode(dec, posterior_mean(field, state, t)))
             return math.sqrt(dot(r, r))
 
-    rec = _Recorder(traj, record_states, residual_fn)
+    rec = _Recorder(traj, residual_fn)
     if isinstance(config.solver, EulerSolver):
         run = _run_euler
     elif isinstance(config.solver, HeunSolver):
@@ -395,7 +389,6 @@ def inpaint_splice(mask, y_zero_filled, decoded) -> RealField:
 
 def sample_posterior(config: SamplerConfig, field: VectorFieldSpec, dec: DecoderSpec,
                      op: LinearOperatorDescriptor, y,
-                     record_states: bool = False,
                      record_residuals: bool = False) -> tuple[RealField, Trajectory]:
     """Full run from the config's own seed: integrate, then denoise to 0.
 
@@ -404,6 +397,5 @@ def sample_posterior(config: SamplerConfig, field: VectorFieldSpec, dec: Decoder
     """
     rng = make_rng(config.seed)
     z, traj = integrate(config, field, dec, op, y, rng,
-                        record_states=record_states,
                         record_residuals=record_residuals)
     return final_denoise(field, z, config.schedule.t_min), traj

@@ -139,6 +139,7 @@ class TaskConfig:
              "odd and >= 1"),
             ("cg_tol", self.guidance_solver != "cg" or self.cg_tol > 0.0, "> 0"),
             ("cg_max_iter", self.guidance_solver != "cg" or self.cg_max_iter >= 1, ">= 1"),
+            ("h_init", self.h_init >= 0.0, ">= 0 (0 means automatic)"),
             ("seed", self.seed >= 0, ">= 0"),
         ):
             if not ok:

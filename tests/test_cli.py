@@ -181,6 +181,7 @@ def test_unknown_config_key_exits_with_a_usage_error(tmp_path, capsys):
     ("[guidance]\ncg_max_iter = 0\nsolver = cg\n", "[guidance] cg_max_iter"),
     ("[task]\nimage = no-such-file.pgm\n", "[task] image"),
     ("[sampler]\nseed = -1\n", "[sampler] seed"),
+    ("[sampler]\nh_init = -1\n", "[sampler] h_init"),
 ], ids=["k_steps", "k_steps_literal", "box_size", "cov_mode", "box_size_key",
         "gaussian_kernel_size", "motion_kernel_size", "sr_factor", "sr_kernel_too_big",
         "kernel_length", "singular_system", "singular_system_inpaint_square",
@@ -189,7 +190,7 @@ def test_unknown_config_key_exits_with_a_usage_error(tmp_path, capsys):
         "sigma_latr_square_overflow", "sigma_latr_square_underflow", "size_2",
         "size_3", "size_below_ssim_window", "sigma_y_negative", "kernel_std_negative",
         "kernel_std_underflow", "kernel_size_even", "cg_tol_zero", "cg_max_iter_zero",
-        "image_missing", "seed_negative"])
+        "image_missing", "seed_negative", "h_init_negative"])
 def test_bad_config_values_exit_with_a_usage_error(tmp_path, capsys, text, blamed):
     bad = tmp_path / "bad.cfg"
     bad.write_text(text)

@@ -15,15 +15,22 @@ transform goes through its checked or private pair. Likewise its `dot`
 is the only route to BLAS inner products: `.dot` and `.vdot` are named
 nowhere else in the package, so no result depends on the BLAS thread
 count through one.
+
+The README's configuration example parses as it stands and builds the
+Gaussian deblur preset it shows.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
+
+from lflow.config import parse_config_text
+from lflow.tasks import default_task_config, task_config_from_sections
 
 ROOT = Path(__file__).resolve().parent.parent
 CHECKED = sorted(
@@ -173,3 +180,11 @@ def test_blas_inner_products_are_named_only_in_the_numerics_dot():
         if lines:
             found[path.name] = lines
     assert not found, found
+
+
+def test_the_readme_config_example_parses_to_the_preset_it_shows():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```ini\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert len(blocks) == 1
+    config = task_config_from_sections(parse_config_text(blocks[0]))
+    assert config == default_task_config("gaussian-deblur")

@@ -170,6 +170,16 @@ def test_gram_leaves_its_input_untouched(op):
     np.testing.assert_array_equal(u, before)
 
 
+@pytest.mark.parametrize("op", basis_operators(), ids=lambda op: f"{op.kind}{op.input_shape}")
+def test_adjoint_coeffs_leaves_its_coefficients_untouched(op):
+    # At factor 1 the convolution's adjoint multiplies into a fresh
+    # spectrum, not into w.
+    w = op.coeffs(make_rng(302).normal(size=op.output_shape))
+    before = w.copy()
+    op.adjoint_coeffs(w)
+    np.testing.assert_array_equal(w, before)
+
+
 @pytest.mark.parametrize("side", [64, 256])
 def test_spectral_members_equal_their_out_of_place_formulas_bit_for_bit(side):
     # Cached conj(k_hat) and the in-place gram scaling change no bit of
@@ -181,13 +191,12 @@ def test_spectral_members_equal_their_out_of_place_formulas_bit_for_bit(side):
         x = rng.normal(size=op.input_shape)
         u = rng.normal(size=op.output_shape)
         w = op.coeffs(rng.normal(size=op.output_shape))
-        spread = op._tile if isinstance(op, ConvDownsampleOperator) else (lambda c: c)
-        fold = op._fold if isinstance(op, ConvDownsampleOperator) else (lambda c: c)
         # Formed outside the asserts: the assert rewriting keeps the
         # temporaries alive, which stops numpy from reusing them in place
         # (for a large complex product that changes operand order and bits).
-        apply_ref = fold(op.khat * dft2_forward(x))
-        adjoint_ref = dft2_inverse(np.conj(op.khat) * spread(w), op.input_shape)
+        # At factor 1 the fold and the tile are the identity.
+        apply_ref = op._fold(op.khat * dft2_forward(x))
+        adjoint_ref = dft2_inverse(np.conj(op.khat) * op._tile(w), op.input_shape)
         gram_ref = dft2_inverse(op.gram_eigenvalues * op.coeffs(u), op.output_shape)
         assert np.array_equal(op.apply_coeffs(x), apply_ref)
         assert np.array_equal(op.adjoint_coeffs(w), adjoint_ref)
@@ -203,17 +212,13 @@ def test_apply_and_adjoint_keep_the_checked_pair_bits_and_input_checks(side):
     kernel = build_gaussian_kernel(7, 1.5)
     for op in (CircConvOperator(kernel, (side, side)),
                ConvDownsampleOperator(build_bicubic_kernel(2), (side, side), 2)):
-        s = getattr(op, "factor", 1)
+        s = op.factor
         x = rng.normal(size=op.input_shape)
         y = rng.normal(size=op.output_shape)
         # The product spectra as the members spell them: numpy's operand
         # order for a large complex product depends on the spelling.
         apply_ref = dft2_inverse(op.khat * dft2_forward(x), op.input_shape)[::s, ::s]
-        if s > 1:
-            adjoint_spectrum = op._adjoint_spectrum(op.coeffs(y))
-        else:
-            adjoint_spectrum = op._khat_conj * op.coeffs(y)
-        adjoint_ref = dft2_inverse(adjoint_spectrum, op.input_shape)
+        adjoint_ref = dft2_inverse(op._adjoint_spectrum(op.coeffs(y)), op.input_shape)
         assert np.array_equal(op.apply(x), apply_ref)
         assert np.array_equal(op.adjoint(y), adjoint_ref)
         x[3, 5] = np.nan
@@ -222,6 +227,39 @@ def test_apply_and_adjoint_keep_the_checked_pair_bits_and_input_checks(side):
             op.apply(x)
         with pytest.raises(NonFiniteError):
             op.adjoint(y)
+
+
+def test_circconv_defines_only_its_kind_and_constructor():
+    own = {name for name in vars(CircConvOperator)
+           if not name.startswith("__") or name == "__init__"}
+    assert own == {"kind", "__init__"}
+    assert issubclass(CircConvOperator, ConvDownsampleOperator)
+
+
+@pytest.mark.parametrize("side", [64, 256])
+def test_circconv_is_the_downsampler_at_factor_one_bit_for_bit(side):
+    rng = make_rng(side + 2)
+    kernel = build_gaussian_kernel(7, 1.5)
+    conv = CircConvOperator(kernel, (side, side))
+    down = ConvDownsampleOperator(kernel, (side, side), 1)
+    assert (conv.kind, down.kind) == ("circconv", "convdown")
+    assert conv.input_shape == conv.output_shape == down.output_shape == (side, side)
+    x = rng.normal(size=(side, side))
+    y = rng.normal(size=(side, side))
+    w = conv.coeffs(rng.normal(size=(side, side)))
+    for member, arg in (("coeffs", y), ("apply_coeffs", x), ("adjoint_coeffs", w),
+                        ("apply", x), ("adjoint", y), ("gram", y), ("lift", y)):
+        got, want = getattr(conv, member)(arg), getattr(down, member)(arg)
+        assert np.array_equal(got, want), member
+    assert np.array_equal(conv.gram_eigenvalues, down.gram_eigenvalues)
+    assert np.array_equal(conv.gram_eigenvalues, np.abs(conv.khat) ** 2)
+    # A shape-preserving operator seeds a run with the measurement itself.
+    lifted = down.lift(y)
+    assert np.array_equal(lifted, y)
+    with pytest.raises(ShapeMismatchError, match="circconv apply"):
+        conv.apply(np.zeros((side, side + 1)))
+    with pytest.raises(ShapeMismatchError, match="convdown apply"):
+        down.apply(np.zeros((side, side + 1)))
 
 
 @pytest.mark.parametrize("idx", range(OPERATOR_COUNT))

@@ -497,16 +497,6 @@ def test_trajectory_csv_leaves_residual_column_empty_when_not_recorded(tmp_path)
     assert rows[1][3] == ""
 
 
-def test_state_recording_is_opt_in():
-    field, dec, op, y = small_problem()
-    config = SamplerConfig(guidance=GuidanceSpec(sigma_y=0.1))
-    _, plain = integrate(config, field, dec, op, y, make_rng(14))
-    assert plain.states is None
-    _, recorded = integrate(config, field, dec, op, y, make_rng(14), record_states=True)
-    assert len(recorded.states) == len(recorded.times)
-    assert recorded.states[0].shape == (4,)
-
-
 def _counting_field(sigma_latr: float = 0.5, nan_from: float | None = None):
     """A callback copy of the analytic field that counts its evaluations,
     and returns NaN at every t at or below `nan_from` when one is given."""
