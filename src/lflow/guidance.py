@@ -13,10 +13,11 @@ likelihood built from three pieces:
 
 Those combine into grad = c(t) B^T S^{-1} (y - B z_bar) with S =
 sigma_y^2 I + r2(t) B B^T. `inner_vector` evaluates B^T S^{-1} residual,
-the only part that touches the operator structure. Every operator, and
-so every B, diagonalizes B B^T in its own basis (see `lflow.operators`),
-so the closed form divides the residual's basis coefficients by
-sigma_y^2 + r2 lambda, mode by mode (`make_velocity` folds that division
+the only part that touches the operator structure. Each guidance solver
+carries its own `inner_vector` and `velocity`. Every operator, and so
+every B, diagonalizes B B^T in its own basis (see `lflow.operators`), so
+the closed form divides the residual's basis coefficients by sigma_y^2 +
+r2 lambda, mode by mode (`ClosedFormSolver.velocity` folds that division
 and all K passes into one real gain per mode); the conjugate-gradient
 solver is the iterative reference. It solves S u = residual on the
 measurement grid with the matvec sigma_y^2 u + r2 B.gram(u), where
@@ -30,7 +31,7 @@ buffer or its input).
 
 Projected start: consecutive velocity evaluations of one run solve
 almost the same system with almost the same right-hand side, so the
-velocity that `make_velocity` builds for the CG solver keeps one
+velocity that `ConjugateGradientSolver.velocity` builds keeps one
 `CgSlot` per correction pass, created with the closure and so private to
 one run. The slot holds the pass's last CG_HISTORY solutions u_i with
 their products g_i = B B^T u_i, which cost no matvec: a solve of
@@ -100,6 +101,80 @@ _GALERKIN_RCOND = float(np.finfo(np.float64).eps)
 class ClosedFormSolver:
     """Solve mode by mode in the operator's own A A^T eigenbasis."""
 
+    def inner_vector(self, op, residual: np.ndarray, sigma_y: float, r2: float,
+                     slot: CgSlot | None = None) -> RealField:
+        d = sigma_y * sigma_y + r2 * op.gram_eigenvalues
+        return op.adjoint_coeffs(op.coeffs(residual) / d)
+
+    def velocity(self, spec: GuidanceSpec, field: VectorFieldSpec, b, y: np.ndarray):
+        """The K = spec.k_steps passes of corrected_velocity, fused.
+
+        In B's basis, with d = sigma_y^2 + r2 lambda, pass one gives
+        w = (y_hat - B_hat z_bar) / d at z_bar = z - t v_u, and pass k gives
+        w (1 - mu + ... + (-mu)^(k-1)) with mu = g t c lambda / d, because
+        B B^T acts as lambda on each mode. The K-pass velocity is therefore
+
+            v_u - B^T (gain (y_hat - B_hat z_bar)),
+            gain = g c (1 - mu + mu^2 - ... +- mu^(K-1)) / d,
+
+        the partial sum (1 - (-mu)^K) / (1 + mu) evaluated in Horner form, so
+        neither 1 + mu nor a complex spectrum is ever divided. The gain is one
+        real array per evaluation (a scalar for the mask's lambda = 1), applied
+        by one real-by-complex product on the residual coefficients. An
+        evaluation costs one forward and one inverse transform for any K. Buffer
+        discipline: the residual and the final difference are formed in place
+        on the fresh arrays apply_coeffs and adjoint_coeffs return; z and v_u
+        are never written. z_bar = z - t v_u is built as (-t) v_u + z on one
+        fresh array, which gives the same bits. The gain depends on t alone,
+        so the closure keeps the last (t, gain) and reuses it when Heun
+        re-evaluates at its previous stage's time; the kept array is never
+        written.
+        """
+        passes = spec.k_steps
+        sy2 = spec.sigma_y * spec.sigma_y
+        lam = b.gram_eigenvalues
+        y_hat = b.coeffs(y)
+        apply_coeffs = b.apply_coeffs
+        adjoint_coeffs = b.adjoint_coeffs
+        # The field and the covariance mode are fixed for the run.
+        field_velocity = field.velocity
+        mean_jacobian = mean_jacobian_fn(field)
+        cov = posterior_cov_fn(spec.cov_mode, field)
+
+        last_t = None
+        last_gain = None
+
+        def gain_at(t: float):
+            # g c (1 - mu + ... +- mu^(K-1)) / d with mu = t lambda (g c / d),
+            # the series in Horner form; its temporaries die on return. The last
+            # gain is kept for a repeated t and never written.
+            nonlocal last_t, last_gain
+            if t == last_t:
+                return last_gain
+            gain = (t / (1.0 - t)) * mean_jacobian(t) / (sy2 + cov(t) * lam)
+            if passes > 1:
+                mu = (t * lam) * gain
+                series = 1.0 - mu
+                for _ in range(passes - 2):
+                    series = 1.0 - mu * series
+                gain *= series
+            last_t, last_gain = t, gain
+            return gain
+
+        def velocity(z, t: float) -> RealField:
+            v_uncond = field_velocity(z, t)
+            # gain (y_hat - B_hat z_bar), in place on the fresh array apply_coeffs
+            # returns, then v_u minus its adjoint, in place on the adjoint's output.
+            zbar = np.multiply(v_uncond, -t)
+            zbar += z
+            w = apply_coeffs(zbar)
+            np.subtract(y_hat, w, out=w)
+            w *= gain_at(t)
+            u = adjoint_coeffs(w)
+            return np.subtract(v_uncond, u, out=u)
+
+        return velocity
+
 
 @dataclass(frozen=True)
 class ConjugateGradientSolver:
@@ -114,8 +189,46 @@ class ConjugateGradientSolver:
         if not self.tol > 0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
 
+    def inner_vector(self, op, residual: np.ndarray, sigma_y: float, r2: float,
+                     slot: CgSlot | None = None) -> RealField:
+        sy2 = sigma_y * sigma_y
+        gram = op.gram
+        matvecs = 0
+
+        def matvec(u):
+            nonlocal matvecs
+            matvecs += 1
+            # gram returns a fresh array, so it can take the sum in place.
+            out = gram(u)
+            out *= r2
+            out += sy2 * u
+            return out
+
+        if slot is None:
+            return op.adjoint(conjugate_gradient(matvec, residual, self.tol, self.max_iter))
+        x0 = slot.start(residual, sy2, r2)
+        u, r = _cg_solve(matvec, residual, self.tol, self.max_iter, x0)
+        if not slot.sols and matvecs == 1:
+            slot.cold = True
+        elif r2 > 0.0:
+            # B B^T u = (S u - sy2 u) / r2 with S u = residual - r: no matvec.
+            g = residual - r
+            g -= sy2 * u
+            g /= r2
+            slot.store(u, g)
+        return op.adjoint(u)
+
+    def velocity(self, spec: GuidanceSpec, field: VectorFieldSpec, b, y: np.ndarray):
+        """corrected_velocity pass by pass, each pass with its own CgSlot."""
+        slots = [CgSlot() for _ in range(spec.k_steps)]
+
+        def velocity(z, t: float) -> RealField:
+            return _corrected_velocity(spec, field, b, y, z, t, slots)
+        return velocity
+
 
 SolverSpec = ClosedFormSolver | ConjugateGradientSolver
+_CLOSED_FORM = ClosedFormSolver()
 
 
 @dataclass(frozen=True)
@@ -246,51 +359,17 @@ class CgSlot:
             self.q[i, j] = self.q[j, i] = 0.5 * (dot(w, g) + dot(h, u))
 
 
-def _inner_vector_cg(op, residual, sigma_y: float, r2: float,
-                     tol: float, max_iter: int, slot: CgSlot | None) -> RealField:
-    sy2 = sigma_y * sigma_y
-    gram = op.gram
-    matvecs = 0
-
-    def matvec(u):
-        nonlocal matvecs
-        matvecs += 1
-        # gram returns a fresh array, so it can take the sum in place.
-        out = gram(u)
-        out *= r2
-        out += sy2 * u
-        return out
-
-    if slot is None:
-        u = conjugate_gradient(matvec, residual, tol=tol, max_iter=max_iter)
-        return op.adjoint(u)
-    x0 = slot.start(residual, sy2, r2)
-    u, r = _cg_solve(matvec, residual, tol, max_iter, x0)
-    if not slot.sols and matvecs == 1:
-        slot.cold = True
-    elif r2 > 0.0:
-        # B B^T u = (S u - sy2 u) / r2 with S u = residual - r: no matvec.
-        g = residual - r
-        g -= sy2 * u
-        g /= r2
-        slot.store(u, g)
-    return op.adjoint(u)
-
-
 def inner_vector(op: LinearOperatorDescriptor, residual, sigma_y: float, r2: float,
                  solver: SolverSpec | None = None, slot: CgSlot | None = None) -> RealField:
-    """Evaluate A^T (sigma_y^2 I + r2 A A^T)^{-1} residual.
+    """Evaluate A^T (sigma_y^2 I + r2 A A^T)^{-1} residual by the solver's own
+    `inner_vector`, the closed form when solver is None.
 
     The closed form divides in the operator's eigenbasis of A A^T; a
     ConjugateGradientSolver solves the system iteratively instead, from
     zero, or, given a CgSlot, from the slot's projected start, and
     records the solution in the slot. The closed form ignores the slot.
     """
-    residual = as_field(residual)
-    if isinstance(solver, ConjugateGradientSolver):
-        return _inner_vector_cg(op, residual, sigma_y, r2, solver.tol, solver.max_iter,
-                                slot)
-    return op.adjoint_coeffs(op.coeffs(residual) / (sigma_y * sigma_y + r2 * op.gram_eigenvalues))
+    return (solver or _CLOSED_FORM).inner_vector(op, as_field(residual), sigma_y, r2, slot)
 
 
 def _gradient_at_mean(spec: GuidanceSpec, field: VectorFieldSpec, b, y: np.ndarray,
@@ -341,87 +420,10 @@ def make_velocity(spec: GuidanceSpec, field: VectorFieldSpec, dec: DecoderSpec,
                   op: LinearOperatorDescriptor, y):
     """Build velocity(z, t) with per-run constants hoisted out of the loop.
 
-    B = latent_operator(op, dec) is built once here. With the closed-form
-    solver the K = spec.k_steps passes of corrected_velocity collapse into
-    one per-mode multiplier. In B's basis, with d = sigma_y^2 + r2 lambda,
-    pass one gives w = (y_hat - B_hat z_bar) / d at z_bar = z - t v_u, and
-    pass k gives w (1 - mu + ... + (-mu)^(k-1)) with mu = g t c lambda / d,
-    because B B^T acts as lambda on each mode. The K-pass velocity is
-    therefore
-
-        v_u - B^T (gain (y_hat - B_hat z_bar)),
-        gain = g c (1 - mu + mu^2 - ... +- mu^(K-1)) / d,
-
-    the partial sum (1 - (-mu)^K) / (1 + mu) evaluated in Horner form, so
-    neither 1 + mu nor a complex spectrum is ever divided. The gain is one
-    real array per evaluation (a scalar for the mask's lambda = 1), applied
-    by one real-by-complex product on the residual coefficients. An
-    evaluation costs one forward and one inverse transform for any K. Buffer
-    discipline: the residual and the final difference are formed in place
-    on the fresh arrays apply_coeffs and adjoint_coeffs return; z and v_u
-    are never written. z_bar = z - t v_u is built as (-t) v_u + z on one
-    fresh array, which gives the same bits. The gain depends on t alone,
-    so the closure keeps the last (t, gain) and reuses it when Heun
-    re-evaluates at its previous stage's time; the kept array is never
-    written. The
-    conjugate-gradient solver runs the pass-by-pass route on the same B,
-    with one CgSlot per pass: each pass starts its solve from the
-    projection onto its own recent solutions (module docstring).
-
-    y is checked once here, so a NaN or Inf in the measurement fails the
-    run with NonFiniteError before its first evaluation; the transforms
-    inside an evaluation check nothing.
+    B = latent_operator(op, dec) is built once here for the guidance
+    solver's own `velocity`. y is checked once here, so a NaN or Inf in the
+    measurement fails the run with NonFiniteError before its first
+    evaluation; the transforms inside an evaluation check nothing.
     """
     y = require_finite("measurement y", as_field(y))
-    b = latent_operator(op, dec)
-    passes = spec.k_steps
-    if not isinstance(spec.solver, ClosedFormSolver):
-        slots = [CgSlot() for _ in range(passes)]
-
-        def velocity(z, t: float) -> RealField:
-            return _corrected_velocity(spec, field, b, y, z, t, slots)
-        return velocity
-
-    sy2 = spec.sigma_y * spec.sigma_y
-    lam = b.gram_eigenvalues
-    y_hat = b.coeffs(y)
-    apply_coeffs = b.apply_coeffs
-    adjoint_coeffs = b.adjoint_coeffs
-    # The field and the covariance mode are fixed for the run.
-    field_velocity = field.velocity
-    mean_jacobian = mean_jacobian_fn(field)
-    cov = posterior_cov_fn(spec.cov_mode, field)
-
-    last_t = None
-    last_gain = None
-
-    def gain_at(t: float):
-        # g c (1 - mu + ... +- mu^(K-1)) / d with mu = t lambda (g c / d),
-        # the series in Horner form; its temporaries die on return. The last
-        # gain is kept for a repeated t and never written.
-        nonlocal last_t, last_gain
-        if t == last_t:
-            return last_gain
-        gain = (t / (1.0 - t)) * mean_jacobian(t) / (sy2 + cov(t) * lam)
-        if passes > 1:
-            mu = (t * lam) * gain
-            series = 1.0 - mu
-            for _ in range(passes - 2):
-                series = 1.0 - mu * series
-            gain *= series
-        last_t, last_gain = t, gain
-        return gain
-
-    def velocity(z, t: float) -> RealField:
-        v_uncond = field_velocity(z, t)
-        # gain (y_hat - B_hat z_bar), in place on the fresh array apply_coeffs
-        # returns, then v_u minus its adjoint, in place on the adjoint's output.
-        zbar = np.multiply(v_uncond, -t)
-        zbar += z
-        w = apply_coeffs(zbar)
-        np.subtract(y_hat, w, out=w)
-        w *= gain_at(t)
-        u = adjoint_coeffs(w)
-        return np.subtract(v_uncond, u, out=u)
-
-    return velocity
+    return spec.solver.velocity(spec, field, latent_operator(op, dec), y)

@@ -7,10 +7,11 @@ to t = 0 with a single denoising step. Time decreases along the run;
 under the noising-direction velocity convention that is exactly the
 reverse flow, no sign flip needed.
 
-Steppers:
+Steppers: `integrate` calls the solver's own `run`.
 
 * `EulerSolver(steps)` / `HeunSolver(steps)`: fixed uniform grid; every
-  step counts as accepted.
+  step counts as accepted. Each defines only its `step`; the grid loop
+  is their shared base's `run`.
 * `AdaptiveHeunSolver`: Heun step with the embedded Euler estimate,
   componentwise error scale atol + rtol * |z|, RMS norm, accept when the
   scaled error is at most 1, step factor 0.9 * err^(-1/2) clamped to
@@ -70,25 +71,42 @@ TRAJECTORY_COLUMNS = ("t", "nfe_cumulative", "state_norm", "residual_norm")
 
 
 @dataclass(frozen=True)
-class EulerSolver:
-    """Fixed-step first-order integration."""
+class _FixedStepSolver:
+    """`steps` uniform steps from t_s to t_min, each a subclass's `step`."""
 
     steps: int = 100
 
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
+
+    def run(self, config, f, z, t_min, rec):
+        n = self.steps
+        h = (t_min - config.t_s) / n
+        t = config.t_s
+        for i in range(n):
+            t_next = config.t_s + (i + 1) * h if i + 1 < n else t_min
+            z = self.step(f, z, t, t_next, h)
+            t = t_next
+            rec.add(t, z)
+        return z
 
 
 @dataclass(frozen=True)
-class HeunSolver:
+class EulerSolver(_FixedStepSolver):
+    """Fixed-step first-order integration."""
+
+    def step(self, f, z, t, t_next, h):
+        return z + h * f(z, t)
+
+
+@dataclass(frozen=True)
+class HeunSolver(_FixedStepSolver):
     """Fixed-step second-order (trapezoidal predictor-corrector)."""
 
-    steps: int = 100
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
+    def step(self, f, z, t, t_next, h):
+        k1 = f(z, t)
+        return z + 0.5 * h * (k1 + f(z + h * k1, t_next))
 
 
 @dataclass(frozen=True)
@@ -102,14 +120,74 @@ class AdaptiveHeunSolver:
     max_steps: int = 100_000
 
     def __post_init__(self):
-        if not (self.atol > 0 and self.rtol > 0):
-            raise ValueError("atol and rtol must be > 0")
+        if not self.atol > 0:
+            raise ValueError(f"atol must be > 0, got {self.atol}")
+        if not self.rtol > 0:
+            raise ValueError(f"rtol must be > 0, got {self.rtol}")
         if not self.h_min > 0:
             raise ValueError(f"h_min must be > 0, got {self.h_min}")
         if self.h_init is not None and not self.h_init > 0:
             raise ValueError(f"h_init must be > 0, got {self.h_init}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+
+    def run(self, config, f, z, t_min, rec):
+        atol, rtol = self.atol, self.rtol
+        t = config.t_s
+        span = t - t_min
+        h_abs = self.h_init if self.h_init is not None else span / H_INIT_FRACTION
+        h_abs = min(h_abs, span)
+        size = z.size
+        steps = 0
+        k1 = f(z, t)
+        inv_scale = _inverse_error_scale(z, atol, rtol)
+        while t - t_min > 1e-12:
+            if steps >= self.max_steps:
+                raise MaxStepsExceededError(t, z, self.max_steps)
+            if h_abs < self.h_min:
+                raise StepUnderflowError(t, z, h_abs)
+            steps += 1
+            h_abs = min(h_abs, t - t_min)
+            h = -h_abs
+            half_h = 0.5 * h
+            # z + h k1, then k2 - k1, which gives both the Heun state
+            # z + h k1 + (h/2)(k2 - k1) and the error |h/2| rms((k2 - k1) / scale);
+            # each is built in place on its own fresh array: k1 is reused after
+            # a rejection and z is the accepted state, so neither is written.
+            z_euler = h * k1
+            z_euler += z
+            k2 = f(z_euler, t + h)
+            diff = k2 - k1
+            z_heun = diff * half_h
+            z_heun += z_euler
+            diff *= inv_scale
+            flat = diff.ravel(order="K")
+            err = abs(half_h) * math.sqrt(dot(flat, flat) / size)
+            if err <= 1.0:
+                t = t + h
+                if t - t_min <= 1e-12:
+                    t = t_min
+                z = z_heun
+                rec.add(t, z)
+                if t - t_min > 1e-12:
+                    k1 = f(z, t)
+                    inv_scale = _inverse_error_scale(z, atol, rtol)
+            else:
+                # err is NaN or inf when a stage is; from finite stages it can
+                # still overflow to inf, and that stays a rejection.
+                if not math.isfinite(err):
+                    _check_stages(k1, k2, t, h)
+                rec.traj.rejected += 1
+            if err == 0.0:
+                factor = 5.0
+            else:
+                factor = 0.9 / math.sqrt(err)
+                if factor > 5.0:
+                    factor = 5.0
+                elif factor < 0.2:
+                    factor = 0.2
+            h_abs = h_abs * factor
+        return z
 
 
 SolverKind = EulerSolver | HeunSolver | AdaptiveHeunSolver
@@ -226,13 +304,11 @@ def integrate(config: SamplerConfig, field: VectorFieldSpec, dec: DecoderSpec,
     """
     y = as_field(y)
     schedule = config.schedule
-    t_min = schedule.t_min
+    t_min, t_max = schedule.t_min, schedule.t_max
     # make_velocity checks y, so a non-finite measurement fails here by name.
     velocity = make_velocity(config.guidance, field, dec, op, y)
     z = init_state(config, dec, op, y, rng)
     traj = Trajectory()
-
-    t_max = schedule.t_max
 
     def f(state, t):
         # Clamp t into the schedule's window, counting clamp events.
@@ -252,45 +328,14 @@ def integrate(config: SamplerConfig, field: VectorFieldSpec, dec: DecoderSpec,
             return math.sqrt(dot(r, r))
 
     rec = _Recorder(traj, residual_fn)
-    if isinstance(config.solver, EulerSolver):
-        run = _run_euler
-    elif isinstance(config.solver, HeunSolver):
-        run = _run_heun
-    else:
-        run = _run_adaptive
     try:
         with np.errstate(over="ignore"):
             rec.add(config.t_s, z)
-            z = run(config, f, z, t_min, rec)
+            z = config.solver.run(config, f, z, t_min, rec)
     except LflowError as exc:
         exc.trajectory = traj
         raise
     return z, traj
-
-
-def _run_euler(config, f, z, t_min, rec):
-    n = config.solver.steps
-    h = (t_min - config.t_s) / n
-    t = config.t_s
-    for i in range(n):
-        z = z + h * f(z, t)
-        t = config.t_s + (i + 1) * h if i + 1 < n else t_min
-        rec.add(t, z)
-    return z
-
-
-def _run_heun(config, f, z, t_min, rec):
-    n = config.solver.steps
-    h = (t_min - config.t_s) / n
-    t = config.t_s
-    for i in range(n):
-        t_next = config.t_s + (i + 1) * h if i + 1 < n else t_min
-        k1 = f(z, t)
-        k2 = f(z + h * k1, t_next)
-        z = z + 0.5 * h * (k1 + k2)
-        t = t_next
-        rec.add(t, z)
-    return z
 
 
 def _check_stages(k1, k2, t: float, h: float) -> None:
@@ -307,66 +352,6 @@ def _inverse_error_scale(z, atol: float, rtol: float) -> np.ndarray:
     inv *= rtol
     inv += atol
     return np.reciprocal(inv, out=inv)
-
-
-def _run_adaptive(config, f, z, t_min, rec):
-    solver = config.solver
-    atol, rtol = solver.atol, solver.rtol
-    t = config.t_s
-    span = t - t_min
-    h_abs = solver.h_init if solver.h_init is not None else span / H_INIT_FRACTION
-    h_abs = min(h_abs, span)
-    size = z.size
-    steps = 0
-    k1 = f(z, t)
-    inv_scale = _inverse_error_scale(z, atol, rtol)
-    while t - t_min > 1e-12:
-        if steps >= solver.max_steps:
-            raise MaxStepsExceededError(t, z, solver.max_steps)
-        if h_abs < solver.h_min:
-            raise StepUnderflowError(t, z, h_abs)
-        steps += 1
-        h_abs = min(h_abs, t - t_min)
-        h = -h_abs
-        half_h = 0.5 * h
-        # z + h k1, then k2 - k1, which gives both the Heun state
-        # z + h k1 + (h/2)(k2 - k1) and the error |h/2| rms((k2 - k1) / scale);
-        # each is built in place on its own fresh array: k1 is reused after
-        # a rejection and z is the accepted state, so neither is written.
-        z_euler = h * k1
-        z_euler += z
-        k2 = f(z_euler, t + h)
-        diff = k2 - k1
-        z_heun = diff * half_h
-        z_heun += z_euler
-        diff *= inv_scale
-        flat = diff.ravel(order="K")
-        err = abs(half_h) * math.sqrt(dot(flat, flat) / size)
-        if err <= 1.0:
-            t = t + h
-            if t - t_min <= 1e-12:
-                t = t_min
-            z = z_heun
-            rec.add(t, z)
-            if t - t_min > 1e-12:
-                k1 = f(z, t)
-                inv_scale = _inverse_error_scale(z, atol, rtol)
-        else:
-            # err is NaN or inf when a stage is; from finite stages it can
-            # still overflow to inf, and that stays a rejection.
-            if not math.isfinite(err):
-                _check_stages(k1, k2, t, h)
-            rec.traj.rejected += 1
-        if err == 0.0:
-            factor = 5.0
-        else:
-            factor = 0.9 / math.sqrt(err)
-            if factor > 5.0:
-                factor = 5.0
-            elif factor < 0.2:
-                factor = 0.2
-        h_abs = h_abs * factor
-    return z
 
 
 def final_denoise(field: VectorFieldSpec, z, t_min: float) -> RealField:

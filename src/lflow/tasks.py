@@ -41,12 +41,14 @@ from .report import RunReport
 from .sampler import (
     AdaptiveHeunSolver,
     EulerSolver,
+    H_INIT_FRACTION,
     HeunSolver,
     INIT_MODES,
     SamplerConfig,
     inpaint_splice,
     sample_posterior,
 )
+from .schedule import T_MAX_DEFAULT, T_MIN_DEFAULT
 
 TASK_KINDS = ("gaussian-deblur", "motion-deblur", "super-resolution", "box-inpaint")
 GUIDANCE_SOLVER_NAMES = ("closed-form", "cg")
@@ -150,6 +152,14 @@ class TaskConfig:
                               f"= zero makes the measurement system S = sigma_y^2 I "
                               f"+ r2 A A^T singular (r2 = 0 in zero mode, and "
                               f"sigma_y^2 = 0 at sigma_y = {self.sigma_y!r})")
+        # The adaptive loop's first step; an h_min above it underflows at once.
+        span = self.t_s - T_MIN_DEFAULT
+        if self.ode_solver == "adaptive" and span > 1e-12 and self.t_s <= T_MAX_DEFAULT:
+            h_first = min(self.h_init if self.h_init > 0 else span / H_INIT_FRACTION, span)
+            if h_first < self.h_min:
+                raise ConfigError(f"{_CONFIG_KEY['h_min']} = {self.h_min!r} exceeds the first "
+                                  f"adaptive step {h_first:.6g} ({_CONFIG_KEY['h_init']} = "
+                                  f"{self.h_init!r}; 0 means (t_s - t_min) / {H_INIT_FRACTION})")
         size = f"{_CONFIG_KEY['size']} ({self.size})"
         if self.kind == "box-inpaint" and not 0 <= self.box_size <= self.size:
             raise ValueError(f"{_CONFIG_KEY['box_size']}: must be between 0 and {size}, "

@@ -182,6 +182,10 @@ def test_unknown_config_key_exits_with_a_usage_error(tmp_path, capsys):
     ("[task]\nimage = no-such-file.pgm\n", "[task] image"),
     ("[sampler]\nseed = -1\n", "[sampler] seed"),
     ("[sampler]\nh_init = -1\n", "[sampler] h_init"),
+    ("[sampler]\nrtol = 0\n", "[sampler] rtol must be > 0, got 0"),
+    ("[sampler]\natol = 0\n", "[sampler] atol must be > 0, got 0"),
+    ("[task]\nsize = 16\n[sampler]\nh_min = 1.0\n", "[sampler] h_min"),
+    ("[task]\nsize = 16\n[sampler]\nh_init = 1e-11\n", "[sampler] h_init = 1e-11"),
 ], ids=["k_steps", "k_steps_literal", "box_size", "cov_mode", "box_size_key",
         "gaussian_kernel_size", "motion_kernel_size", "sr_factor", "sr_kernel_too_big",
         "kernel_length", "singular_system", "singular_system_inpaint_square",
@@ -190,7 +194,8 @@ def test_unknown_config_key_exits_with_a_usage_error(tmp_path, capsys):
         "sigma_latr_square_overflow", "sigma_latr_square_underflow", "size_2",
         "size_3", "size_below_ssim_window", "sigma_y_negative", "kernel_std_negative",
         "kernel_std_underflow", "kernel_size_even", "cg_tol_zero", "cg_max_iter_zero",
-        "image_missing", "seed_negative", "h_init_negative"])
+        "image_missing", "seed_negative", "h_init_negative", "rtol_zero", "atol_zero",
+        "h_min_above_auto_first_step", "h_init_below_default_h_min"])
 def test_bad_config_values_exit_with_a_usage_error(tmp_path, capsys, text, blamed):
     bad = tmp_path / "bad.cfg"
     bad.write_text(text)

@@ -16,6 +16,9 @@ is the only route to BLAS inner products: `.dot` and `.vdot` are named
 nowhere else in the package, so no result depends on the BLAS thread
 count through one.
 
+The run path dispatches on the solver's own methods: `guidance.py` and
+`sampler.py` call `isinstance` nowhere.
+
 The README's configuration example parses as it stands and builds the
 Gaussian deblur preset it shows.
 """
@@ -180,6 +183,31 @@ def test_blas_inner_products_are_named_only_in_the_numerics_dot():
         if lines:
             found[path.name] = lines
     assert not found, found
+
+
+def isinstance_calls(source: str) -> list[int]:
+    """Lines that call `isinstance`."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "isinstance")
+
+
+def test_the_isinstance_scan_finds_every_call():
+    source = (
+        "a = isinstance(x, int)\n"
+        "b = [v for v in y if isinstance(v, str)]\n"
+        "c = issubclass(int, object)\n"
+        "def f(z):\n"
+        "    return isinstance(z, float) or isinstance(z, int)\n"
+    )
+    assert isinstance_calls(source) == [1, 2, 5, 5]
+
+
+@pytest.mark.parametrize("name", ["guidance.py", "sampler.py"])
+def test_the_run_path_asks_no_solver_its_type(name):
+    # Each solver carries its own inner_vector, velocity or run.
+    lines = isinstance_calls((ROOT / "src" / "lflow" / name).read_text(encoding="utf-8"))
+    assert not lines, lines
 
 
 def test_the_readme_config_example_parses_to_the_preset_it_shows():

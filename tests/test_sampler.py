@@ -203,16 +203,34 @@ def test_identical_config_and_seed_reproduce_bits():
 
 
 def test_fixed_step_evaluation_counts():
+    # Every fixed step is an accepted step. The endpoints are pinned so that
+    # the shared grid loop must keep z + h f and z + (h/2)(k1 + k2) exactly.
     field, dec, op, y = small_problem()
-    # Every fixed step is an accepted step.
     euler = SamplerConfig(solver=EulerSolver(steps=23), guidance=quiet_guidance())
-    _, traj = integrate(euler, field, dec, op, y, make_rng(0))
+    z, traj = integrate(euler, field, dec, op, y, make_rng(0))
     assert traj.nfe == traj.accepted == 23
     assert len(traj.times) == traj.accepted + 1
+    np.testing.assert_allclose(
+        z, [0.26651705820726107, -0.7388263596110018, 0.8281605202114826, 0.2577051001279371],
+        rtol=0.0, atol=1e-13,
+    )
     heun = SamplerConfig(solver=HeunSolver(steps=23), guidance=quiet_guidance())
-    _, traj = integrate(heun, field, dec, op, y, make_rng(0))
+    z, traj = integrate(heun, field, dec, op, y, make_rng(0))
     assert traj.nfe == 2 * traj.accepted == 46
     assert len(traj.times) == traj.accepted + 1
+    np.testing.assert_allclose(
+        z, [0.2771651154195225, -0.7683444152280903, 0.8612477104253644, 0.26800109644619097],
+        rtol=0.0, atol=1e-13,
+    )
+
+
+def test_fixed_step_solvers_keep_their_own_identity():
+    # Euler and Heun share their base's fields and grid loop, not equality or repr.
+    assert EulerSolver(steps=5) != HeunSolver(steps=5)
+    assert repr(EulerSolver(steps=5)) == "EulerSolver(steps=5)"
+    assert repr(HeunSolver(steps=5)) == "HeunSolver(steps=5)"
+    with pytest.raises(ValueError, match="steps must be >= 1"):
+        HeunSolver(steps=0)
 
 
 def test_adaptive_run_is_pinned():
