@@ -50,6 +50,10 @@ The fold and the tile that subsampling adds are the identity at s = 1,
 and there the convolution skips them: `apply_coeffs` and
 `gram_eigenvalues` take the product spectrum as it is, and the adjoint
 multiplies conj(k_hat) into a fresh product and leaves its input alone.
+At s > 1 each is one gather through a flat index table that `__init__`
+builds, then one conjugation masked to the entries read through the
+Hermitian mirror; the fold then sums its s^2 gathered blocks in order
+and divides by s^2, the bits of a reshaped `mean` over the blocks.
 
 `lift(y)` maps a measurement back onto the input grid to seed a sampler
 run: masks zero-fill, shape-preserving operators (the convolution at
@@ -175,18 +179,19 @@ class ConvDownsampleOperator:
     upsampling followed by correlation with the kernel. Its basis is the
     real DFT of the (m1, m2) = (h/s, w/s) low-resolution grid, with
     (m1, m2//2 + 1) half-spectrum coefficients. Subsampling folds a full
-    spectrum onto its s x s aliased blocks (`block_average`) and zero-fill
+    spectrum onto the mean of its s x s aliased blocks and zero-fill
     upsampling tiles it, so A A^T multiplies by the block-folded |k_hat|^2;
     `gram` applies that with one transform pair on the low-resolution grid.
 
-    Both need columns that a half-spectrum does not store: the fold reads
+    Both need entries that a half-spectrum does not store: the fold reads
     high-resolution columns j2 + b2 m2 up to (s - 1) m2 + m2//2, and the
     tile reads low-resolution columns k2 mod m2 past m2//2. They are read
-    through the Hermitian mirror F[k1, k2] = conj(F[(-k1) % h, w - k2]):
-    a run of such columns is a reversed column slice whose rows come in
-    the order 0, h - 1, ..., 1. Each call fills one fresh array by slice
-    copies (the slices of the fold are built once in `__init__`), so
-    neither needs a gather index, a concatenation or `np.tile`.
+    through the Hermitian mirror F[k1, k2] = conj(F[(-k1) % h, w - k2]).
+    `__init__` resolves every entry once into a flat index of the C-ordered
+    half-spectrum and a mask of the mirrored ones: the fold's table has
+    shape (s^2, m1, m2//2 + 1), block (b1, b2) at b1 s + b2, and the tile's
+    (h, w//2 + 1). Each call is then one `take`, one conjugation where the
+    mask is set, and for the fold a sum over the blocks.
 
     At s = 1 it is circular convolution: its basis is the real 2-D DFT of
     the grid itself, on which A A^T multiplies by |k_hat|^2, and the fold
@@ -209,20 +214,16 @@ class ConvDownsampleOperator:
         self.input_shape = (h, w)
         m1, m2 = h // factor, w // factor
         self.output_shape = (m1, m2)
-        # Fold: block b2 of the gathered columns, columns b2 n2 .. (b2 + 1) n2
-        # - 1, holds high-resolution columns b2 m2 .. b2 m2 + m2//2; its
-        # first `direct` ones lie in the half-spectrum, the rest in the mirror
-        # (source columns w - c for high-resolution column c, a reversed slice).
-        n2 = m2 // 2 + 1
-        self._fold_shape = (h, factor * n2)
-        self._fold_blocks = []
-        for b2 in range(factor):
-            c0 = b2 * m2
-            direct = max(0, min(n2, w // 2 + 1 - c0))
-            self._fold_blocks.append((
-                slice(b2 * n2, b2 * n2 + direct), slice(c0, c0 + direct),
-                slice(b2 * n2 + direct, (b2 + 1) * n2),
-                slice(w - c0 - direct, w - c0 - n2, -1)))
+        if factor > 1:
+            # Fold: block (b1, b2), b1 outer, entry (j1, j2) reads high-resolution
+            # point (j1 + b1 m1, j2 + b2 m2). Tile: entry (k1, k2) reads
+            # low-resolution point (k1 mod m1, k2 mod m2).
+            b1, b2, j1, j2 = np.ix_(*map(range, (factor, factor, m1, m2 // 2 + 1)))
+            self._fold_index, self._fold_mirror = (
+                a.reshape(factor * factor, m1, -1) for a in
+                _half_index(j1 + b1 * m1, j2 + b2 * m2, (h, w)))
+            k1, k2 = np.ix_(range(h), range(w // 2 + 1))
+            self._tile_index, self._tile_mirror = _half_index(k1 % m1, k2 % m2, (m1, m2))
         self.khat = dft2_forward(embed_kernel(kernel, self.input_shape))
         self._khat_conj = np.conj(self.khat)
         self.gram_eigenvalues = self._fold(np.abs(self.khat) ** 2)
@@ -231,31 +232,18 @@ class ConvDownsampleOperator:
         """(h, w//2 + 1) half-spectrum -> its (m1, m2//2 + 1) block fold."""
         if self.factor == 1:
             return half
-        gathered = np.empty(self._fold_shape, dtype=half.dtype)
-        for dst, src, dst_mirror, src_mirror in self._fold_blocks:
-            gathered[:, dst] = half[:, src]
-            _conj_mirror_rows(half[:, src_mirror], gathered[:, dst_mirror])
-        return block_average(gathered, self.factor)
+        blocks = half.take(self._fold_index)
+        np.conjugate(blocks, out=blocks, where=self._fold_mirror)
+        folded = np.add.reduce(blocks, axis=0)
+        folded /= self.factor * self.factor
+        return folded
 
     def _tile(self, low: np.ndarray) -> np.ndarray:
-        """(m1, m2//2 + 1) half-spectrum -> its (h, w//2 + 1) s x s tiling.
-
-        High-resolution entry (k1, k2) is low-resolution entry
-        (k1 mod m1, k2 mod m2): the first m1 rows are low, its mirrored
-        columns n2 .. m2 - 1 and their periodic repeats; the other row
-        blocks copy them.
-        """
-        m1, m2 = self.output_shape
-        n2 = m2 // 2 + 1
-        width = self.input_shape[1] // 2 + 1
-        tiled = np.empty((self.input_shape[0], width), dtype=np.complex128)
-        top = tiled[:m1]
-        top[:, :n2] = low
-        stop = min(m2, width)
-        _conj_mirror_rows(low[:, m2 - n2 : m2 - stop : -1], top[:, n2:stop])
-        for c in range(m2, width, m2):
-            top[:, c : c + m2] = top[:, : min(m2, width - c)]
-        tiled.reshape(self.factor, m1, width)[1:] = top
+        """(m1, m2//2 + 1) half-spectrum -> its (h, w//2 + 1) s x s tiling."""
+        if self.factor == 1:
+            return low
+        tiled = low.take(self._tile_index)
+        np.conjugate(tiled, out=tiled, where=self._tile_mirror)
         return tiled
 
     def coeffs(self, y) -> np.ndarray:
@@ -307,10 +295,16 @@ class CircConvOperator(ConvDownsampleOperator):
         super().__init__(kernel, shape, 1)
 
 
-def _conj_mirror_rows(src: np.ndarray, out: np.ndarray) -> None:
-    """out[k1] = conj(src[(-k1) % h]): row 0, then rows h - 1 .. 1."""
-    np.conjugate(src[:1], out=out[:1])
-    np.conjugate(src[:0:-1], out=out[1:])
+def _half_index(k1, k2, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Where full-spectrum points (k1, k2) of a real (r, c) grid lie in its
+    C-ordered (r, c//2 + 1) half-spectrum: the flat index, and a mask of
+    the points read through the mirror F[k1, k2] = conj(F[(-k1) % r, c - k2])."""
+    rows, cols = shape
+    width = cols // 2 + 1
+    k1, k2 = np.broadcast_arrays(k1, k2)
+    mirror = k2 >= width
+    index = np.where(mirror, (-k1) % rows * width + cols - k2, k1 * width + k2)
+    return index, mirror
 
 
 class DenseOperator:
@@ -376,21 +370,6 @@ class DenseOperator:
 LinearOperatorDescriptor = (
     MaskOperator | ConvDownsampleOperator | DenseOperator
 )
-
-
-def block_average(spectrum: np.ndarray, factor: int) -> np.ndarray:
-    """Average an (h, w) grid over its s x s aliasing blocks -> (h/s, w/s).
-
-    Entry (j1, j2) of the result is the mean of spectrum[j1 + b1*h/s,
-    j2 + b2*w/s] over all (b1, b2), which is how subsampling folds a
-    spectrum.
-    """
-    h, w = spectrum.shape
-    s = int(factor)
-    if h % s or w % s:
-        raise ShapeMismatchError(f"factor {s} must divide spectrum shape {spectrum.shape}")
-    m1, m2 = h // s, w // s
-    return spectrum.reshape(s, m1, s, m2).mean(axis=(0, 2))
 
 
 def dense_materialize(op) -> DenseOperator:

@@ -18,6 +18,10 @@ Steppers: `integrate` calls the solver's own `run`.
   [0.2, 5.0]. The first stage is reused when a step is rejected, so NFE
   counts one evaluation per rejection and two per accepted step.
 
+`SamplerConfig` asks its solver's `check_span` about the span t_s - t_min:
+a fixed grid takes any span, and the adaptive solver rejects an h_min
+above its first step, where a run would underflow at once.
+
 Finiteness: a run never silently returns garbage. Every accepted state
 is checked through the dot product the recorder takes for its state
 norm anyway; only when that is not finite does an elementwise scan tell
@@ -80,6 +84,9 @@ class _FixedStepSolver:
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
+    def check_span(self, span: float) -> None:
+        """A uniform grid fits any span t_s - t_min."""
+
     def run(self, config, f, z, t_min, rec):
         n = self.steps
         h = (t_min - config.t_s) / n
@@ -131,12 +138,22 @@ class AdaptiveHeunSolver:
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
 
+    def first_step(self, span: float) -> float:
+        """The loop's first step size over the span t_s - t_min."""
+        return min(self.h_init or span / H_INIT_FRACTION, span)
+
+    def check_span(self, span: float) -> None:
+        """Reject an h_min above the first step, which would underflow at once."""
+        h_first = self.first_step(span)
+        if span > 1e-12 and h_first < self.h_min:
+            raise ValueError(f"h_min = {self.h_min!r} exceeds the first adaptive step "
+                             f"{h_first:.6g} (h_init = {self.h_init!r}; None means "
+                             f"(t_s - t_min) / {H_INIT_FRACTION})")
+
     def run(self, config, f, z, t_min, rec):
         atol, rtol = self.atol, self.rtol
         t = config.t_s
-        span = t - t_min
-        h_abs = self.h_init if self.h_init is not None else span / H_INIT_FRACTION
-        h_abs = min(h_abs, span)
+        h_abs = self.first_step(t - t_min)
         size = z.size
         steps = 0
         k1 = f(z, t)
@@ -212,6 +229,7 @@ class SamplerConfig:
             raise ValueError(
                 f"unknown init mode {self.init_mode!r}; expected one of {INIT_MODES}"
             )
+        self.solver.check_span(self.t_s - self.schedule.t_min)
 
 
 @dataclass

@@ -155,7 +155,7 @@ class TaskConfig:
         # The adaptive loop's first step; an h_min above it underflows at once.
         span = self.t_s - T_MIN_DEFAULT
         if self.ode_solver == "adaptive" and span > 1e-12 and self.t_s <= T_MAX_DEFAULT:
-            h_first = min(self.h_init if self.h_init > 0 else span / H_INIT_FRACTION, span)
+            h_first = AdaptiveHeunSolver(h_init=self.h_init or None).first_step(span)
             if h_first < self.h_min:
                 raise ConfigError(f"{_CONFIG_KEY['h_min']} = {self.h_min!r} exceeds the first "
                                   f"adaptive step {h_first:.6g} ({_CONFIG_KEY['h_init']} = "

@@ -21,7 +21,6 @@ from lflow.operators import (
     DenseOperator,
     Kernel,
     MaskOperator,
-    block_average,
     block_downsample_check,
     build_bicubic_kernel,
     build_box_mask,
@@ -34,6 +33,18 @@ from lflow.operators import (
 
 def delta_kernel() -> Kernel:
     return Kernel(np.array([[1.0]]))
+
+
+def block_average(spectrum: np.ndarray, factor: int) -> np.ndarray:
+    """Average an (h, w) grid over its s x s aliasing blocks -> (h/s, w/s).
+
+    Entry (j1, j2) of the result is the mean of spectrum[j1 + b1*h/s,
+    j2 + b2*w/s] over all (b1, b2), which is how subsampling folds a
+    spectrum: the reference for the operator's fold.
+    """
+    h, w = spectrum.shape
+    s = int(factor)
+    return spectrum.reshape(s, h // s, s, w // s).mean(axis=(0, 2))
 
 
 def latent_operators(ops, rng, matrix_base):
@@ -351,6 +362,29 @@ def test_block_average_folds_aliasing_blocks():
                 [spectrum[j1 + 2 * b1, j2 + 2 * b2] for b1 in range(2) for b2 in range(2)]
             )
     np.testing.assert_allclose(out, expected, atol=1e-14)
+
+
+# Odd low-resolution widths, non-square grids, s in {2, 3, 4, 5} and
+# s equal to a side (a single low-resolution row, column or entry).
+FOLD_CASES = [((8, 8), 2), ((12, 10), 2), ((10, 14), 2), ((9, 9), 3), ((18, 12), 3),
+              ((24, 24), 3), ((16, 16), 4), ((12, 20), 4), ((15, 10), 5), ((20, 15), 5),
+              ((5, 5), 5), ((4, 8), 4), ((9, 3), 3), ((2, 6), 2)]
+
+
+@pytest.mark.parametrize("shape, s", FOLD_CASES,
+                         ids=[f"{h}x{w}-s{s}" for (h, w), s in FOLD_CASES])
+def test_fold_and_tile_match_the_full_spectrum_block_mean_and_tiling(shape, s):
+    # Independent of the operator's index tables: the full complex spectrum
+    # of np.fft.fft2, block-averaged or tiled, cut to the half-spectrum columns.
+    op = ConvDownsampleOperator(delta_kernel(), shape, s)
+    (h, w), (m1, m2) = op.input_shape, op.output_shape
+    rng = make_rng(h * 100 + w * 10 + s)
+    x = rng.normal(size=op.input_shape)
+    low = rng.normal(size=op.output_shape)
+    fold_ref = block_average(np.fft.fft2(x), s)[:, : m2 // 2 + 1]
+    tile_ref = np.tile(np.fft.fft2(low), (s, s))[:, : w // 2 + 1]
+    assert_rel_close(op._fold(dft2_forward(x)), fold_ref)
+    assert_rel_close(op._tile(dft2_forward(low)), tile_ref)
 
 
 def test_spectral_folding_matches_spatial_subsampling():

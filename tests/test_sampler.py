@@ -183,6 +183,26 @@ def test_solver_parameter_validation():
         AdaptiveHeunSolver(max_steps=0)
 
 
+def test_h_min_above_the_first_adaptive_step_fails_before_any_evaluation():
+    # The first step is (t_s - t_min) / 50 = 0.01598 at t_s = 0.8, or h_init.
+    dec = IdentityDecoder((2, 2))
+    op = MaskOperator(np.ones((2, 2)))
+    calls = []
+    field = CallbackField(lambda z, t: calls.append(t) or np.zeros_like(z))
+    for solver in (AdaptiveHeunSolver(h_min=1.0), AdaptiveHeunSolver(h_min=0.02),
+                   AdaptiveHeunSolver(h_init=1e-3, h_min=2e-3)):
+        with pytest.raises(ValueError, match="h_min"):
+            sample_posterior(SamplerConfig(solver=solver, guidance=quiet_guidance()),
+                             field, dec, op, np.zeros(4))
+    assert calls == []
+    # At the first step itself the run starts; a fixed grid takes any span.
+    span = 0.8 - PathSchedule().t_min
+    for solver in (AdaptiveHeunSolver(h_min=span / 50), EulerSolver(steps=1)):
+        sample_posterior(SamplerConfig(solver=solver, guidance=quiet_guidance()),
+                         field, dec, op, np.zeros(4))
+    assert calls
+
+
 def small_problem(sigma=1.0, seed=3):
     rng = make_rng(seed)
     op = DenseOperator(rng.normal(size=(3, 4)))

@@ -282,6 +282,25 @@ def test_reconstruct_is_deterministic_except_wall_time():
     assert d1 == d2
 
 
+@pytest.mark.parametrize("factor, nfe, psnr_db, row, total", [
+    (2, 279, 17.34967581228647,
+     [0.6476208244604053, 0.634269470158841, 0.6288740496903665, 0.47021621478155085],
+     503.42550730810683),
+    (4, 210, 14.019033473535226,
+     [0.6259201186840508, 0.5855576142576704, 0.5712322590946944, 0.5095951035459413],
+     503.9002778084357),
+])
+def test_super_resolution_run_is_pinned(factor, nfe, psnr_db, row, total):
+    # NFE and output of the 32^2 preset, pinned so that a rewrite of the
+    # spectral fold and tile must keep its arithmetic.
+    cfg = default_task_config("super-resolution", size=32, sr_factor=factor)
+    x_hat, report = reconstruct(cfg, degrade(cfg))
+    assert (report.status, report.nfe) == ("ok", nfe)
+    assert report.psnr_db == pytest.approx(psnr_db, rel=0.0, abs=1e-10)
+    np.testing.assert_allclose(x_hat[5, 8:12], row, rtol=0.0, atol=1e-13)
+    assert float(x_hat.sum()) == pytest.approx(total, rel=0.0, abs=1e-10)
+
+
 def test_degenerate_box_keeps_every_observed_pixel():
     # box_size 0 observes everything; the splice then reproduces the
     # measurement exactly and the metrics report a perfect match.
