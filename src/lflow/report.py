@@ -1,8 +1,9 @@
 """Run reports and their CSV/JSON serialization.
 
-The column set and order are frozen; a golden-file test guards them.
-Reports are deterministic for a given config and seed in every column
-except wall_ms, so differencing two report files modulo that column is a
+The columns are RunReport's fields in declaration order; the set and
+order are frozen, and a golden-file test guards them. Reports are
+deterministic for a given config and seed in every column except
+wall_ms, so differencing two report files modulo that column is a
 meaningful regression check. PSNR of an exact reconstruction serializes
 as inf (CSV) / Infinity (JSON), documented in the README.
 """
@@ -11,23 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
-
-REPORT_COLUMNS = (
-    "run_id",
-    "task",
-    "cov_mode",
-    "solver",
-    "nfe",
-    "psnr_db",
-    "ssim",
-    "mse",
-    "wall_ms",
-    "seed",
-    "config_hash",
-    "clamp_events",
-    "status",
-)
+from dataclasses import asdict, dataclass, fields
 
 
 @dataclass
@@ -51,6 +36,9 @@ class RunReport:
         return self.status == "ok"
 
 
+REPORT_COLUMNS = tuple(f.name for f in fields(RunReport))
+
+
 def _format_cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -69,9 +57,7 @@ def write_reports_csv(reports, path) -> None:
 
 def write_reports_json(reports, path) -> None:
     """JSON mirror of the CSV: a list of objects with identical keys."""
-    payload = [
-        {c: asdict(rep)[c] for c in REPORT_COLUMNS} for rep in reports
-    ]
+    payload = [asdict(rep) for rep in reports]
     with open(path, "w", encoding="ascii") as fh:
         json.dump(payload, fh, indent=2, sort_keys=False)
         fh.write("\n")

@@ -1,10 +1,11 @@
 """Task presets and the degrade/reconstruct pipeline.
 
 A `TaskConfig` is a flat, serializable bundle of every knob a run needs;
-it mirrors the config-file grammar one to one (see `config.CONFIG_SCHEMA`)
-and builds the runtime objects on demand. The four task kinds cover the
-canonical desk-scale suite: 64x64 images, 9x9 blur kernels, 2x
-super-resolution, 32x32 centered box inpainting.
+it mirrors the config-file grammar one to one (see `config.CONFIG_SCHEMA`),
+checks its values when constructed and builds the runtime objects on
+demand. The four task kinds cover the canonical desk-scale suite: 64x64
+images, 9x9 blur kernels, 2x super-resolution, 32x32 centered box
+inpainting.
 
 Pixel fields live in [0, 1]; the prior field is zero-mean, so the
 pipeline centers measurements around the operator image of mid-gray
@@ -76,6 +77,10 @@ class TaskConfig:
     h_init = 0 means automatic (span / 50). literal_update = true builds a
     one-pass (K = 1) guidance whatever k_steps holds. Defaults here are the
     shared base; `default_task_config` applies the per-task tolerance presets.
+
+    Construction is the only validation stage, for files, CLI flags and
+    library code alike: a value no run could use raises ValueError naming
+    its `[section] key`, and the two cross-key conflicts raise ConfigError.
     """
 
     kind: str = "gaussian-deblur"
@@ -123,17 +128,15 @@ class TaskConfig:
             value = getattr(self, attr)
             if value not in allowed:
                 raise ValueError(f"{_CONFIG_KEY[attr]}: {value!r} not one of {allowed}")
-        # Values the runtime objects would reject under their own field
-        # names, checked here so the message names the config key.
+        # Values whose runtime message could not name the config key.
         std = self.kernel_std
-        s_latr = self.sigma_latr
+        s = self.sr_factor
+        size = f"{_CONFIG_KEY['size']} ({self.size})"
         deblur = self.kind in ("gaussian-deblur", "motion-deblur")
         for attr, ok, rule in (
             ("size", self.size >= SSIM_WINDOW_SIZE,
              f">= {SSIM_WINDOW_SIZE}, the side of the SSIM window"),
             ("sigma_y", self.sigma_y >= 0.0, ">= 0"),
-            ("sigma_latr", s_latr > 0.0 and 0.0 < s_latr * s_latr < math.inf,
-             "> 0 with a square that neither overflows nor underflows"),
             ("k_steps", self.k_steps >= 1, ">= 1"),
             ("kernel_std", self.kind != "gaussian-deblur" or (std > 0.0 and std * std > 0.0),
              "> 0 with a square that does not underflow"),
@@ -143,6 +146,18 @@ class TaskConfig:
             ("cg_max_iter", self.guidance_solver != "cg" or self.cg_max_iter >= 1, ">= 1"),
             ("h_init", self.h_init >= 0.0, ">= 0 (0 means automatic)"),
             ("seed", self.seed >= 0, ">= 0"),
+            ("box_size", self.kind != "box-inpaint" or 0 <= self.box_size <= self.size,
+             f"between 0 and {size}"),
+            ("kernel_size", not deblur or self.kernel_size <= self.size, f"<= {size}"),
+            ("kernel_length", self.kind != "motion-deblur"
+             or 1 <= self.kernel_length <= self.kernel_size,
+             f"between 1 and {_CONFIG_KEY['kernel_size']} ({self.kernel_size})"),
+            ("kernel_angle", self.kind != "motion-deblur" or math.isfinite(self.kernel_angle),
+             "finite"),
+            # The bicubic kernel of factor s has 4 s - 1 taps a side.
+            ("sr_factor", self.kind != "super-resolution"
+             or (s >= 1 and self.size % s == 0 and 4 * s - 1 <= self.size),
+             f">= 1, divide {size} and keep its 4 s - 1 kernel within it"),
         ):
             if not ok:
                 raise ValueError(f"{_CONFIG_KEY[attr]}: must be {rule}, "
@@ -160,23 +175,17 @@ class TaskConfig:
                 raise ConfigError(f"{_CONFIG_KEY['h_min']} = {self.h_min!r} exceeds the first "
                                   f"adaptive step {h_first:.6g} ({_CONFIG_KEY['h_init']} = "
                                   f"{self.h_init!r}; 0 means (t_s - t_min) / {H_INIT_FRACTION})")
-        size = f"{_CONFIG_KEY['size']} ({self.size})"
-        if self.kind == "box-inpaint" and not 0 <= self.box_size <= self.size:
-            raise ValueError(f"{_CONFIG_KEY['box_size']}: must be between 0 and {size}, "
-                             f"got {self.box_size}")
-        if self.kind in ("gaussian-deblur", "motion-deblur") and self.kernel_size > self.size:
-            raise ValueError(f"{_CONFIG_KEY['kernel_size']}: must be <= {size}, "
-                             f"got {self.kernel_size}")
-        if self.kind == "motion-deblur" and not 1 <= self.kernel_length <= self.kernel_size:
-            raise ValueError(f"{_CONFIG_KEY['kernel_length']}: must be between 1 and "
-                             f"{_CONFIG_KEY['kernel_size']} ({self.kernel_size}), "
-                             f"got {self.kernel_length}")
-        # The bicubic kernel of factor s has 4 s - 1 taps a side.
-        if self.kind == "super-resolution" and (
-                self.sr_factor < 1 or self.size % self.sr_factor
-                or 4 * self.sr_factor - 1 > self.size):
-            raise ValueError(f"{_CONFIG_KEY['sr_factor']}: must be >= 1, divide {size} "
-                             f"and keep its 4 s - 1 kernel within it, got {self.sr_factor}")
+        # The runtime objects check the rest under their own names (the
+        # decoder's only rejectable value is its scale). The operator is not
+        # built: the rules above cover its inputs.
+        for where, build in (("[prior]", self.build_field),
+                             (f"{_CONFIG_KEY['decoder_scale']}:", self.build_decoder),
+                             ("[guidance]", self.build_guidance),
+                             ("[sampler]", self.build_sampler)):
+            try:
+                build()
+            except (ValueError, ZeroScaleError) as exc:
+                raise ValueError(f"{where} {exc}") from exc
 
     def to_sections(self) -> dict[str, dict]:
         out: dict[str, dict] = {}
@@ -257,8 +266,6 @@ class TaskConfig:
 def default_task_config(kind: str, **overrides) -> TaskConfig:
     """The per-task preset: loose tolerances where the guidance is rough
     (inpainting, motion) and tight ones for the smooth-spectrum tasks."""
-    if kind not in TASK_KINDS:
-        raise ValueError(f"unknown task kind {kind!r}; expected one of {TASK_KINDS}")
     tol = 1e-3 if kind in ("box-inpaint", "motion-deblur") else 1e-5
     base = {"kind": kind, "atol": tol, "rtol": tol}
     base.update(overrides)
@@ -269,31 +276,17 @@ def task_config_from_sections(sections: dict[str, dict]) -> TaskConfig:
     """Build a TaskConfig from parsed config sections over the preset
     defaults for the file's task kind.
 
-    The runtime objects are built once here, so a value they reject
-    surfaces as a ConfigError naming its section (and its key where the
-    message knows it) before any run starts.
+    TaskConfig's own pre-flight rejects what no run could use; here its
+    ValueError becomes the ConfigError naming the section and key.
     """
-    kind = sections.get("task", {}).get("kind", "gaussian-deblur")
-    if kind not in TASK_KINDS:
-        raise ConfigError(f"[task] kind: {kind!r} not one of {TASK_KINDS}")
-    values = {}
+    values = {"kind": "gaussian-deblur"}
     for (section, key), attr in _FIELD_MAP.items():
-        if section in sections and key in sections[section]:
+        if key in sections.get(section, {}):
             values[attr] = sections[section][key]
     try:
-        cfg = replace(default_task_config(kind), **values)
+        return default_task_config(**values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # The decoder's only rejectable value is its scale.
-    for where, build in (("[task]", cfg.build_operator),
-                         (f"{_CONFIG_KEY['decoder_scale']}:", cfg.build_decoder),
-                         ("[guidance]", cfg.build_guidance),
-                         ("[sampler]", cfg.build_sampler)):
-        try:
-            build()
-        except (ValueError, ZeroScaleError) as exc:
-            raise ConfigError(f"{where} {exc}") from exc
-    return cfg
 
 
 def synthetic_image(size: int = 64) -> np.ndarray:

@@ -232,6 +232,28 @@ def test_cov_mode_flag_cannot_make_the_system_singular(tmp_path, capsys):
     assert not list(tmp_path.glob("*.pgm"))
 
 
+@pytest.mark.parametrize("command", ["sample", "bench"])
+@pytest.mark.parametrize("text,flag,blamed", [
+    ("[sampler]\nsteps = 0\n", "euler", "[sampler] steps must be >= 1, got 0"),
+    ("[sampler]\nsteps = 0\n", "heun", "[sampler] steps must be >= 1, got 0"),
+    ("[sampler]\nsolver = euler\natol = 0\n", "adaptive", "[sampler] atol must be > 0, got 0.0"),
+    ("[sampler]\nsolver = euler\nmax_steps = 0\n", "adaptive",
+     "[sampler] max_steps must be >= 1, got 0"),
+], ids=["euler_steps", "heun_steps", "adaptive_atol", "adaptive_max_steps"])
+def test_solver_flag_over_a_config_is_checked_like_the_file(tmp_path, capsys, command,
+                                                            text, flag, blamed):
+    # Each file is valid for its own solver; the flag switches to one that
+    # reads the bad key.
+    cfg = tmp_path / "switch.cfg"
+    cfg.write_text(text)
+    code = main([command, "--config", str(cfg), "--solver", flag, "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {blamed}\n"
+    assert not list(tmp_path.glob("*.pgm"))
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_negative_seed_flag_exits_with_a_usage_error(tmp_path, config_path, capsys):
     code = main(["sample", "--config", config_path, "--seed", "-1", "--out", str(tmp_path)])
     assert code == 2

@@ -19,8 +19,10 @@ count through one.
 The run path dispatches on the solver's own methods: `guidance.py` and
 `sampler.py` call `isinstance` nowhere.
 
-The README's configuration example parses as it stands and builds the
-Gaussian deblur preset it shows.
+The README's configuration example parses as it stands, shows every key
+of the grammar in canonical order, and builds the Gaussian deblur preset
+it shows. The command-line output the README quotes (the quick start and
+the bench sweep) is what the command prints.
 """
 
 from __future__ import annotations
@@ -28,11 +30,13 @@ from __future__ import annotations
 import ast
 import importlib.util
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
-from lflow.config import parse_config_text
+from lflow.cli import main
+from lflow.config import CONFIG_SCHEMA, dump_config, parse_config_text
 from lflow.tasks import default_task_config, task_config_from_sections
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -210,9 +214,43 @@ def test_the_run_path_asks_no_solver_its_type(name):
     assert not lines, lines
 
 
+def readme_blocks(heading: str) -> list[str]:
+    """Fenced blocks of one `## heading` section of the README."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^```\w*\n(.*?)^```$", section, flags=re.M | re.S)
+
+
 def test_the_readme_config_example_parses_to_the_preset_it_shows():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"^```ini\n(.*?)^```$", readme, flags=re.M | re.S)
     assert len(blocks) == 1
-    config = task_config_from_sections(parse_config_text(blocks[0]))
+    sections = parse_config_text(blocks[0])
+    missing = [f"[{section}] {key}" for section, keys in CONFIG_SCHEMA.items()
+               for key in keys if key not in sections.get(section, {})]
+    assert not missing, missing
+    config = task_config_from_sections(sections)
     assert config == default_task_config("gaussian-deblur")
+    uncommented = "".join(line for line in blocks[0].splitlines(keepends=True)
+                          if not line.startswith("#"))
+    assert uncommented.strip() == dump_config(config.to_sections()).strip()
+
+
+def test_the_readme_quick_start_prints_what_the_cli_prints(tmp_path, monkeypatch, capsys):
+    command, printed = readme_blocks("Quick start")
+    argv = shlex.split(command)
+    assert argv[0] == "lflow"
+    monkeypatch.chdir(tmp_path)
+    assert main(argv[1:]) == 0
+    assert capsys.readouterr().out == printed
+
+
+def test_the_readme_bench_sweep_prints_what_the_cli_prints(tmp_path, capsys):
+    # The README's sweep is the Gaussian-deblur preset with literal_update = true.
+    (printed,) = readme_blocks("Subcommands")
+    config = tmp_path / "literal.cfg"
+    config.write_text("[guidance]\nliteral_update = true\n")
+    assert main(["bench", "--config", str(config), "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    assert "".join(lines[:-1]) == printed
+    assert lines[-1].startswith("report -> ")

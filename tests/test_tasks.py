@@ -201,6 +201,21 @@ def test_resolve_truth_rejects_an_image_of_another_size(tmp_path):
         resolve_truth(fast_config(image=str(path)))
 
 
+@pytest.mark.parametrize("values,blamed", [
+    ({"ode_solver": "euler", "steps": 0}, "[sampler] steps"),
+    ({"ode_solver": "heun", "steps": 0}, "[sampler] steps"),
+    ({"decoder_kind": "scale", "decoder_scale": 0.0}, "[prior] decoder_scale"),
+    ({"decoder_kind": "scale", "decoder_scale": math.inf}, "[prior] decoder_scale"),
+    ({"kind": "motion-deblur", "kernel_angle": math.nan}, "[task] kernel_angle"),
+    ({"sigma_latr": 0.0}, "[prior] sigma_latr"),
+])
+def test_construction_rejects_what_a_run_would_reject(values, blamed):
+    # Library callers get the pre-flight a config file gets, before any run.
+    with pytest.raises(ValueError) as info:
+        TaskConfig(**values)
+    assert str(info.value).startswith(blamed)
+
+
 def test_singular_measurement_system_is_a_config_error():
     with pytest.raises(ConfigError, match=r"\[task\] sigma_y.*\[guidance\] cov_mode"):
         TaskConfig(sigma_y=0.0, cov_mode="zero")
