@@ -93,14 +93,9 @@ def posterior_mean(field: VectorFieldSpec, z: RealField, t: float) -> RealField:
     return np.asarray(z, dtype=np.float64) - t * eval_field(field, z, t)
 
 
-def field_sigma_latr(field: VectorFieldSpec) -> float:
-    """Prior std associated with a field (surrogate for callbacks)."""
-    return field.sigma_latr
-
-
 def mean_jacobian_fn(field: VectorFieldSpec) -> Callable[[float], float]:
     """mean_jacobian_scalar(field, t) as a function of t alone."""
-    s2 = field_sigma_latr(field) ** 2
+    s2 = field.sigma_latr**2
 
     def c(t: float) -> float:
         om = 1.0 - t
@@ -160,7 +155,7 @@ def posterior_cov_fn(mode: CovarianceMode, field: VectorFieldSpec) -> Callable[[
             return t * t * (om * (1.0 - 2.0 * t) + 2.0 * t * t) / (om * (om * om + t * t))
 
         return r2
-    s2 = 1.0 if mode.kind == "pigdm" else field_sigma_latr(field) ** 2
+    s2 = 1.0 if mode.kind == "pigdm" else field.sigma_latr**2
 
     def r2(t: float) -> float:
         om = 1.0 - t

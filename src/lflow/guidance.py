@@ -85,7 +85,7 @@ from .fields import (
     posterior_cov_scalar,
     posterior_mean,
 )
-from .numerics import RealField, as_field, dot, require_finite
+from .numerics import RealField, as_field, check_shape, dot, require_finite
 from .operators import LinearOperatorDescriptor
 
 CG_MAX_ITER_DEFAULT = 500
@@ -421,9 +421,9 @@ def make_velocity(spec: GuidanceSpec, field: VectorFieldSpec, dec: DecoderSpec,
     """Build velocity(z, t) with per-run constants hoisted out of the loop.
 
     B = latent_operator(op, dec) is built once here for the guidance
-    solver's own `velocity`. y is checked once here, so a NaN or Inf in the
-    measurement fails the run with NonFiniteError before its first
-    evaluation; the transforms inside an evaluation check nothing.
+    solver's own `velocity`. y is checked once here, so a mis-shaped or
+    non-finite measurement fails the run (ShapeMismatchError, NonFiniteError)
+    before its first evaluation; the transforms inside an evaluation check nothing.
     """
-    y = require_finite("measurement y", as_field(y))
+    y = require_finite("measurement y", check_shape("measurement y", y, op.output_shape))
     return spec.solver.velocity(spec, field, latent_operator(op, dec), y)

@@ -209,7 +209,6 @@ class ConvDownsampleOperator:
             raise ShapeMismatchError(
                 f"factor {factor} must divide both sides of {shape}"
             )
-        self.kernel = kernel
         self.factor = factor
         self.input_shape = (h, w)
         m1, m2 = h // factor, w // factor

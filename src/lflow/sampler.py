@@ -323,7 +323,7 @@ def integrate(config: SamplerConfig, field: VectorFieldSpec, dec: DecoderSpec,
     y = as_field(y)
     schedule = config.schedule
     t_min, t_max = schedule.t_min, schedule.t_max
-    # make_velocity checks y, so a non-finite measurement fails here by name.
+    # make_velocity checks y, so a mis-shaped or non-finite one fails here by name.
     velocity = make_velocity(config.guidance, field, dec, op, y)
     z = init_state(config, dec, op, y, rng)
     traj = Trajectory()

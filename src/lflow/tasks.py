@@ -2,10 +2,10 @@
 
 A `TaskConfig` is a flat, serializable bundle of every knob a run needs;
 it mirrors the config-file grammar one to one (see `config.CONFIG_SCHEMA`),
-checks its values when constructed and builds the runtime objects on
-demand. The four task kinds cover the canonical desk-scale suite: 64x64
-images, 9x9 blur kernels, 2x super-resolution, 32x32 centered box
-inpainting.
+checks its values when constructed and keeps the runtime objects it
+builds for the run. The four task kinds cover the canonical desk-scale
+suite: 64x64 images, 9x9 blur kernels, 2x super-resolution, 32x32
+centered box inpainting.
 
 Pixel fields live in [0, 1]; the prior field is zero-mean, so the
 pipeline centers measurements around the operator image of mid-gray
@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -81,6 +82,8 @@ class TaskConfig:
     Construction is the only validation stage, for files, CLI flags and
     library code alike: a value no run could use raises ValueError naming
     its `[section] key`, and the two cross-key conflicts raise ConfigError.
+    The field, decoder and sampler it builds to check are kept as `field`,
+    `decoder` and `sampler` (the guidance is `sampler.guidance`).
     """
 
     kind: str = "gaussian-deblur"
@@ -175,15 +178,14 @@ class TaskConfig:
                 raise ConfigError(f"{_CONFIG_KEY['h_min']} = {self.h_min!r} exceeds the first "
                                   f"adaptive step {h_first:.6g} ({_CONFIG_KEY['h_init']} = "
                                   f"{self.h_init!r}; 0 means (t_s - t_min) / {H_INIT_FRACTION})")
-        # The runtime objects check the rest under their own names (the
-        # decoder's only rejectable value is its scale). The operator is not
-        # built: the rules above cover its inputs.
-        for where, build in (("[prior]", self.build_field),
-                             (f"{_CONFIG_KEY['decoder_scale']}:", self.build_decoder),
-                             ("[guidance]", self.build_guidance),
-                             ("[sampler]", self.build_sampler)):
+        # The runtime objects, kept for the run, check the rest under their own
+        # names (the decoder's only rejectable value is its scale; the rules
+        # above cover the guidance's and the operator's inputs).
+        for where, attr in (("[prior]", "field"),
+                            (f"{_CONFIG_KEY['decoder_scale']}:", "decoder"),
+                            ("[sampler]", "sampler")):
             try:
-                build()
+                getattr(self, attr)
             except (ValueError, ZeroScaleError) as exc:
                 raise ValueError(f"{where} {exc}") from exc
 
@@ -204,11 +206,13 @@ class TaskConfig:
         return (self.size, self.size)
 
     def build_operator(self):
-        """Instantiate the measurement operator; returns (operator, mask).
-
-        mask is the binary observation mask for box-inpaint and None for
-        the other kinds.
+        """(operator, mask), built on the first call and kept; mask is the
+        binary observation mask for box-inpaint and None for the other kinds.
         """
+        return self._operator
+
+    @cached_property
+    def _operator(self):
         shape = self.image_shape()
         if self.kind == "gaussian-deblur":
             kernel = build_gaussian_kernel(self.kernel_size, self.kernel_std)
@@ -224,29 +228,19 @@ class TaskConfig:
         mask = build_box_mask(shape, (top, top, self.box_size, self.box_size))
         return MaskOperator(mask), mask
 
-    def build_field(self) -> AnalyticGaussianField:
+    @cached_property
+    def field(self) -> AnalyticGaussianField:
         return AnalyticGaussianField(sigma_latr=self.sigma_latr)
 
-    def build_decoder(self):
+    @cached_property
+    def decoder(self):
         shape = self.image_shape()
         if self.decoder_kind == "identity":
             return IdentityDecoder(shape)
         return DiagonalScaleDecoder(self.decoder_scale, shape)
 
-    def build_guidance(self) -> GuidanceSpec:
-        if self.guidance_solver == "cg":
-            solver = ConjugateGradientSolver(max_iter=self.cg_max_iter,
-                                             tol=self.cg_tol)
-        else:
-            solver = ClosedFormSolver()
-        return GuidanceSpec(
-            cov_mode=CovarianceMode(kind=self.cov_mode),
-            solver=solver,
-            sigma_y=self.sigma_y,
-            k_steps=1 if self.literal_update else self.k_steps,
-        )
-
-    def build_sampler(self) -> SamplerConfig:
+    @cached_property
+    def sampler(self) -> SamplerConfig:
         if self.ode_solver == "euler":
             solver = EulerSolver(steps=self.steps)
         elif self.ode_solver == "heun":
@@ -257,8 +251,15 @@ class TaskConfig:
                 h_init=self.h_init if self.h_init > 0 else None,
                 h_min=self.h_min, max_steps=self.max_steps,
             )
+        guidance = GuidanceSpec(
+            cov_mode=CovarianceMode(kind=self.cov_mode),
+            solver=(ConjugateGradientSolver(max_iter=self.cg_max_iter, tol=self.cg_tol)
+                    if self.guidance_solver == "cg" else ClosedFormSolver()),
+            sigma_y=self.sigma_y,
+            k_steps=1 if self.literal_update else self.k_steps,
+        )
         return SamplerConfig(
-            t_s=self.t_s, solver=solver, guidance=self.build_guidance(),
+            t_s=self.t_s, solver=solver, guidance=guidance,
             seed=self.seed, init_mode=self.init_mode,
         )
 
@@ -342,20 +343,19 @@ def resolve_truth(cfg: TaskConfig) -> np.ndarray:
     return image
 
 
-def degrade(cfg: TaskConfig, x_true=None, rng=None) -> np.ndarray:
+def degrade(cfg: TaskConfig, x_true=None) -> np.ndarray:
     """Forward model only: y = A x + sigma_y * noise.
 
-    The default generator is seeded from cfg.seed at a fixed offset so
+    The noise generator is seeded from cfg.seed at a fixed offset so
     measurement noise is reproducible but independent of the sampler's
     own draws.
     """
     if x_true is None:
         x_true = resolve_truth(cfg)
-    if rng is None:
-        rng = make_rng(cfg.seed + DEGRADE_SEED_OFFSET)
     op, _ = cfg.build_operator()
     y = op.apply(x_true)
     if cfg.sigma_y > 0:
+        rng = make_rng(cfg.seed + DEGRADE_SEED_OFFSET)
         y = y + cfg.sigma_y * rng.standard_normal(y.shape)
     return y
 
@@ -373,9 +373,6 @@ def reconstruct(cfg: TaskConfig, y, x_true=None,
     start = time.perf_counter()
     y = np.asarray(y, dtype=np.float64)
     op, mask = cfg.build_operator()
-    field = cfg.build_field()
-    dec = cfg.build_decoder()
-    sampler_cfg = cfg.build_sampler()
     offset = op.apply(np.full(op.input_shape, 0.5))
     x_hat = None
     nfe = 0
@@ -383,14 +380,14 @@ def reconstruct(cfg: TaskConfig, y, x_true=None,
     status = "ok"
     try:
         z_hat, traj = sample_posterior(
-            sampler_cfg, field, dec, op, y - offset,
+            cfg.sampler, cfg.field, cfg.decoder, op, y - offset,
             record_residuals=trajectory_path is not None,
         )
         nfe = traj.nfe
         clamp_events = traj.clamp_events
         if trajectory_path is not None:
             traj.to_csv(trajectory_path)
-        x_hat = np.clip(decode(dec, z_hat) + 0.5, 0.0, 1.0)
+        x_hat = np.clip(decode(cfg.decoder, z_hat) + 0.5, 0.0, 1.0)
         if mask is not None:
             x_hat = inpaint_splice(mask, op.adjoint(y), x_hat)
     except LflowError as exc:

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import lflow.tasks
 from lflow.cli import main
 
 FAST_CONFIG = """
@@ -79,6 +80,22 @@ def test_sample_flag_overrides(tmp_path, config_path):
     assert data[0]["seed"] == 7
     assert data[0]["cov_mode"] == "pigdm"
     assert data[0]["solver"] == "euler"
+
+
+def test_sample_builds_one_operator(tmp_path, config_path, monkeypatch):
+    # degrade, reconstruct and the written measurement share the config's
+    # operator. The SSIM window is built in lflow.metrics and not counted.
+    built = []
+    for name in ("CircConvOperator", "ConvDownsampleOperator", "MaskOperator"):
+        cls = getattr(lflow.tasks, name)
+
+        def counting(*args, _cls=cls):
+            built.append(_cls.__name__)
+            return _cls(*args)
+
+        monkeypatch.setattr(lflow.tasks, name, counting)
+    assert main(["sample", "--config", config_path, "--out", str(tmp_path)]) == 0
+    assert built == ["CircConvOperator"]
 
 
 def test_sample_records_a_trajectory(tmp_path, config_path):

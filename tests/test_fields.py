@@ -15,7 +15,6 @@ from lflow.fields import (
     CallbackField,
     CovarianceMode,
     eval_field,
-    field_sigma_latr,
     jacobian_bounds,
     mean_jacobian_scalar,
     posterior_cov_scalar,
@@ -190,7 +189,6 @@ def test_callback_field_delegates_evaluation():
     z = np.array([1.0, -1.0])
     np.testing.assert_allclose(eval_field(field, z, 0.4), 2.0 * z)
     assert calls == [0.4]
-    assert field_sigma_latr(field) == 0.7
     assert field.sigma_latr == 0.7
     # The denoised-mean chain and its Jacobian use the surrogate width.
     surrogate = AnalyticGaussianField(sigma_latr=0.7)

@@ -583,7 +583,7 @@ def test_cg_velocity_at_64_squared_pigdm_with_a_larger_iteration_cap():
     cfg = default_task_config("gaussian-deblur", guidance_solver="cg", cov_mode="pigdm",
                               seed=1, cg_max_iter=1000)
     op, _ = cfg.build_operator()
-    field, dec, sampler_cfg = cfg.build_field(), cfg.build_decoder(), cfg.build_sampler()
+    field, dec, sampler_cfg = cfg.field, cfg.decoder, cfg.sampler
     y = degrade(cfg) - op.apply(np.full(op.input_shape, 0.5))
     z = init_state(sampler_cfg, dec, op, y, make_rng(cfg.seed))
     got = make_velocity(sampler_cfg.guidance, field, dec, op, y)(z, cfg.t_s)

@@ -584,6 +584,27 @@ def test_a_non_finite_measurement_fails_the_run_before_its_first_evaluation(
     assert calls == []
 
 
+@pytest.mark.parametrize("init_mode", ["pure-noise", "encoded-measurement"])
+@pytest.mark.parametrize("solver", ["closed-form", "cg"])
+@pytest.mark.parametrize("short", ["one entry", "one row short"])
+@pytest.mark.parametrize("kind", ["mask", "circconv", "convdown", "dense"])
+def test_a_mis_shaped_measurement_fails_the_run_before_its_first_evaluation(
+        kind, short, solver, init_mode):
+    # A single entry would broadcast against every residual, and a short y
+    # would fail inside numpy; the run checks y's shape by name first.
+    op = _boundary_operator(kind)
+    shape = (1,) if short == "one entry" else (op.output_shape[0] - 1,) + op.output_shape[1:]
+    y = make_rng(53).normal(size=shape)
+    guidance = GuidanceSpec(sigma_y=0.05)
+    if solver == "cg":
+        guidance = GuidanceSpec(sigma_y=0.05, solver=ConjugateGradientSolver())
+    config = SamplerConfig(guidance=guidance, init_mode=init_mode, seed=0)
+    field, calls = _counting_field()
+    with pytest.raises(ShapeMismatchError, match="measurement y"):
+        sample_posterior(config, field, IdentityDecoder(op.input_shape), op, y)
+    assert calls == []
+
+
 @pytest.mark.parametrize("stepper", ["adaptive-heun", "heun", "cg"])
 @pytest.mark.parametrize("kind", ["circconv", "convdown"])
 def test_a_field_that_turns_nan_fails_the_run(kind, stepper):

@@ -22,10 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lflow
+import lflow.tasks
 
 from lflow.config import CONFIG_SCHEMA
 from lflow.errors import ConfigError
 from lflow.fields import COV_MODE_KINDS
+from lflow.guidance import ConjugateGradientSolver, GuidanceSpec
 from lflow.metrics import SSIM_WINDOW_SIZE
 from lflow.numerics import make_rng
 from lflow.operators import CircConvOperator, ConvDownsampleOperator, MaskOperator
@@ -135,9 +137,39 @@ def test_literal_update_builds_a_one_pass_guidance():
     for k_steps in (1, 2, 3, 5):
         cfg = default_task_config("gaussian-deblur", k_steps=k_steps, literal_update=True)
         one_pass = replace(cfg, k_steps=1, literal_update=False)
-        assert cfg.build_guidance() == one_pass.build_guidance()
+        assert cfg.sampler.guidance == one_pass.sampler.guidance
         assert cfg.hash() != one_pass.hash()
-    assert default_task_config("gaussian-deblur", k_steps=3).build_guidance().k_steps == 3
+    assert default_task_config("gaussian-deblur", k_steps=3).sampler.guidance.k_steps == 3
+
+
+def test_a_config_builds_each_runtime_object_once():
+    cfg = default_task_config("box-inpaint", size=16, box_size=4)
+    op, mask = cfg.build_operator()
+    again = cfg.build_operator()
+    assert again[0] is op and again[1] is mask
+    assert cfg.sampler is cfg.sampler
+    assert cfg.field is cfg.field and cfg.decoder is cfg.decoder
+    # A replaced config is a new object with its own runtime objects.
+    other = replace(cfg, seed=1)
+    assert other.build_operator()[0] is not op
+    assert other.sampler is not cfg.sampler and other.sampler.seed == 1
+    assert other.field is not cfg.field and other.decoder is not cfg.decoder
+    # The kept objects are not part of the config's value.
+    assert replace(cfg) == cfg and hash(replace(cfg)) == hash(cfg)
+
+
+def test_constructing_a_config_builds_one_guidance(monkeypatch):
+    built = []
+
+    def counting_spec(**kwargs):
+        built.append(kwargs)
+        return GuidanceSpec(**kwargs)
+
+    monkeypatch.setattr(lflow.tasks, "GuidanceSpec", counting_spec)
+    cfg = TaskConfig(guidance_solver="cg")
+    assert len(built) == 1
+    assert cfg.sampler.guidance.solver == ConjugateGradientSolver()
+    assert len(built) == 1
 
 
 def test_sections_default_to_the_kind_preset():
@@ -419,15 +451,13 @@ _SECTIONS = st.fixed_dictionaries({
 def test_every_drawn_config_builds_or_is_a_config_error(sections):
     # No sampler runs: the pre-flight alone must turn every value it cannot
     # use into a ConfigError, before a run starts and without a warning.
+    # Construction builds the field, decoder and sampler; the operator and
+    # the image are built here.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             cfg = task_config_from_sections(sections)
             cfg.build_operator()
-            cfg.build_field()
-            cfg.build_decoder()
-            cfg.build_guidance()
-            cfg.build_sampler()
             resolve_truth(cfg)
         except ConfigError:
             pass
