@@ -13,10 +13,11 @@ Subcommands:
   a size/factor grid; exit code 1 when any error exceeds 1e-10.
 
 Flags shared by the run-producing subcommands: ``--config`` (strict
-key = value file, see the README grammar), ``--seed``, ``--cov-mode``,
-``--solver``, ``--out``, ``--report``, ``--trajectory``. Flags override
-file settings; file settings override task presets. Exit code is 0 only
-when every requested run succeeded.
+key = value file, see the README grammar), ``--task``, ``--seed``,
+``--cov-mode``, ``--solver``, ``--out``, ``--report``, ``--trajectory``.
+A flag sets the config key `FLAG_KEYS` names over the file (or the
+``--task`` preset), and the result is built and checked once. Exit code
+is 0 only when every requested run succeeded.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from .config import parse_config_file
-from .errors import ConfigError, LflowError
+from .errors import LflowError
 from .fields import COV_MODE_KINDS
 from .imageio import write_image
 from .operators import block_downsample_check
@@ -35,10 +35,10 @@ from .oracle import run_oracle_checks
 from .report import write_reports_csv, write_reports_json
 from .tasks import (
     ODE_SOLVER_NAMES,
+    REPORT_FORMATS,
     TASK_KINDS,
     TaskConfig,
     bench_cov_modes,
-    default_task_config,
     degrade,
     reconstruct,
     resolve_truth,
@@ -48,6 +48,11 @@ from .tasks import (
 LEMMA_B1_SIZES = (8, 16, 64)
 LEMMA_B1_FACTORS = (2, 4)
 LEMMA_B1_TOL = 1e-10
+
+# Run flag -> the (section, key) of the config it overrides.
+FLAG_KEYS = {"seed": ("sampler", "seed"), "cov_mode": ("guidance", "cov_mode"),
+             "solver": ("sampler", "solver"), "out": ("run", "out_dir"),
+             "report": ("run", "report_format")}
 
 
 def _add_run_flags(parser: argparse.ArgumentParser, trajectory: bool) -> None:
@@ -60,36 +65,27 @@ def _add_run_flags(parser: argparse.ArgumentParser, trajectory: bool) -> None:
     parser.add_argument("--solver", choices=ODE_SOLVER_NAMES, default=None)
     parser.add_argument("--out", default=None, metavar="DIR",
                         help="output directory (default from config)")
-    parser.add_argument("--report", choices=("csv", "json"), default=None)
+    parser.add_argument("--report", choices=REPORT_FORMATS, default=None)
     if trajectory:
         parser.add_argument("--trajectory", default=None, metavar="PATH",
                             help="write per-step solver trace as CSV")
 
 
 def _resolve_config(args) -> TaskConfig:
-    if args.config is not None:
-        cfg = task_config_from_sections(parse_config_file(args.config))
-        if args.task is not None and args.task != cfg.kind:
-            raise LflowError(
-                f"--task {args.task} conflicts with config kind {cfg.kind}"
-            )
+    """The file's sections (or the --task preset's) with each set flag as the
+    key it overrides, built and checked once."""
+    if args.config is None:
+        sections = {"task": {"kind": args.task or "gaussian-deblur"}}
     else:
-        cfg = default_task_config(args.task or "gaussian-deblur")
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.cov_mode is not None:
-        overrides["cov_mode"] = args.cov_mode
-    if args.solver is not None:
-        overrides["ode_solver"] = args.solver
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if getattr(args, "report", None) is not None:
-        overrides["report_format"] = args.report
-    try:
-        return replace(cfg, **overrides) if overrides else cfg
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        sections = parse_config_file(args.config)
+    kind = sections.get("task", {}).get("kind", "gaussian-deblur")
+    if args.task is not None and args.task != kind:
+        raise LflowError(f"--task {args.task} conflicts with config kind {kind}")
+    for flag, (section, key) in FLAG_KEYS.items():
+        value = getattr(args, flag)
+        if value is not None:
+            sections.setdefault(section, {})[key] = value
+    return task_config_from_sections(sections)
 
 
 def _out_dir(cfg: TaskConfig) -> str:
@@ -97,10 +93,16 @@ def _out_dir(cfg: TaskConfig) -> str:
     return cfg.out_dir
 
 
-def _measurement_field(cfg: TaskConfig, y):
-    """Measurements as a writable image (masks are zero-filled back)."""
+def _degrade_and_write(cfg: TaskConfig):
+    """Degrade the config's truth and write the measurement (a mask's
+    zero-filled back) and the truth; returns (path base, x_true, y)."""
+    base = os.path.join(_out_dir(cfg), cfg.run_id)
+    x_true = resolve_truth(cfg)
+    y = degrade(cfg, x_true)
     op, mask = cfg.build_operator()
-    return y if mask is None else op.adjoint(y)
+    write_image(base + "-input.pgm", y if mask is None else op.adjoint(y))
+    write_image(base + "-truth.pgm", x_true)
+    return base, x_true, y
 
 
 def _write_reports(cfg: TaskConfig, reports, path_base: str) -> str:
@@ -115,14 +117,9 @@ def _write_reports(cfg: TaskConfig, reports, path_base: str) -> str:
 
 def _cmd_sample(args) -> int:
     cfg = _resolve_config(args)
-    out = _out_dir(cfg)
-    x_true = resolve_truth(cfg)
-    y = degrade(cfg, x_true)
+    base, x_true, y = _degrade_and_write(cfg)
     x_hat, report = reconstruct(cfg, y, x_true=x_true,
                                 trajectory_path=args.trajectory)
-    base = os.path.join(out, report.run_id)
-    write_image(base + "-input.pgm", _measurement_field(cfg, y))
-    write_image(base + "-truth.pgm", x_true)
     if x_hat is not None:
         write_image(base + "-recon.pgm", x_hat)
     report_path = _write_reports(cfg, [report], base + "-report")
@@ -134,13 +131,8 @@ def _cmd_sample(args) -> int:
 
 def _cmd_degrade(args) -> int:
     cfg = _resolve_config(args)
-    out = _out_dir(cfg)
-    x_true = resolve_truth(cfg)
-    y = degrade(cfg, x_true)
-    base = os.path.join(out, cfg.run_id)
-    write_image(base + "-input.pgm", _measurement_field(cfg, y))
-    write_image(base + "-truth.pgm", x_true)
-    print(f"{cfg.run_id}: wrote measurement and truth under {out}")
+    _degrade_and_write(cfg)
+    print(f"{cfg.run_id}: wrote measurement and truth under {cfg.out_dir}")
     return 0
 
 

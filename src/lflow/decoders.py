@@ -4,7 +4,8 @@ Sampling runs in latent space; the measurement operators act on fields.
 A decoder bridges the two. Both kinds here are linear, and each owns its
 formulas: `decode(z)`, the ridge-regularized least-squares preimage
 `encode(x)`, and `compose(op)`. The identity decoder is the scale
-decoder at scale 1.0, whose decode and encode are exact.
+decoder at scale 1.0: its decode is exact, but its encode divides by
+1 + ENCODE_RIDGE, which moves every nonzero entry by a relative 1e-10.
 
 Guidance sees the measurement map from latent space, B = A o decode.
 `latent_operator` builds it once per run through the decoder's

@@ -372,13 +372,14 @@ def inner_vector(op: LinearOperatorDescriptor, residual, sigma_y: float, r2: flo
     return (solver or _CLOSED_FORM).inner_vector(op, as_field(residual), sigma_y, r2, slot)
 
 
-def _gradient_at_mean(spec: GuidanceSpec, field: VectorFieldSpec, b, y: np.ndarray,
-                      z0_mean: np.ndarray, t: float, slot: CgSlot | None = None) -> RealField:
+def _gradient_at_mean(spec: GuidanceSpec, b, y: np.ndarray, z0_mean: np.ndarray,
+                      r2: float, c: float, slot: CgSlot | None = None) -> RealField:
+    """c B^T S^{-1} (y - B z0_mean) with S = sigma_y^2 I + r2 B B^T; r2 and
+    c = mean_jacobian_scalar are the caller's, computed once per t."""
     residual = y - b.apply(z0_mean)
-    r2 = posterior_cov_scalar(spec.cov_mode, t, field)
     # Through the module attribute, so a wrapper of inner_vector sees every pass.
     u = inner_vector(b, residual, spec.sigma_y, r2, solver=spec.solver, slot=slot)
-    return mean_jacobian_scalar(field, t) * u
+    return c * u
 
 
 def likelihood_gradient(spec: GuidanceSpec, field: VectorFieldSpec, dec: DecoderSpec,
@@ -387,7 +388,9 @@ def likelihood_gradient(spec: GuidanceSpec, field: VectorFieldSpec, dec: Decoder
     y = as_field(y)
     z = as_field(z)
     b = latent_operator(op, dec)
-    return _gradient_at_mean(spec, field, b, y, posterior_mean(field, z, t), t)
+    return _gradient_at_mean(spec, b, y, posterior_mean(field, z, t),
+                             posterior_cov_scalar(spec.cov_mode, t, field),
+                             mean_jacobian_scalar(field, t))
 
 
 def _corrected_velocity(spec: GuidanceSpec, field: VectorFieldSpec, b, y: np.ndarray,
@@ -397,10 +400,13 @@ def _corrected_velocity(spec: GuidanceSpec, field: VectorFieldSpec, b, y: np.nda
         raise ValueError(f"corrected velocity needs t in [0, 1), got {t}")
     v_uncond = eval_field(field, z, t)
     g = t / (1.0 - t)
+    # r2 and c depend on t alone: once per evaluation, not once per pass.
+    r2 = posterior_cov_scalar(spec.cov_mode, t, field)
+    c = mean_jacobian_scalar(field, t)
     v = v_uncond
     for k in range(spec.k_steps):
         slot = None if slots is None else slots[k]
-        grad = _gradient_at_mean(spec, field, b, y, z - t * v, t, slot)
+        grad = _gradient_at_mean(spec, b, y, z - t * v, r2, c, slot)
         v = v_uncond - g * grad
     return v
 

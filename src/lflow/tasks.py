@@ -29,7 +29,7 @@ from .errors import ConfigError, ImageFormatError, LflowError, ZeroScaleError
 from .fields import AnalyticGaussianField, COV_MODE_KINDS, CovarianceMode
 from .guidance import ClosedFormSolver, ConjugateGradientSolver, GuidanceSpec
 from .metrics import SSIM_WINDOW_SIZE, mse as mse_metric, psnr, ssim
-from .numerics import make_rng
+from .numerics import check_shape, make_rng
 from .operators import (
     CircConvOperator,
     ConvDownsampleOperator,
@@ -368,33 +368,37 @@ def reconstruct(cfg: TaskConfig, y, x_true=None,
     regenerated for synthetic configs); otherwise they are NaN. Solver
     failures produce a report row with a failed status, and the NFE and
     clamp events spent before the failure, instead of raising. The
-    reconstruction is None exactly when status is not ok.
+    reconstruction is None exactly when status is not ok. A y or x_true
+    of the wrong shape raises ShapeMismatchError before any evaluation.
+    trajectory_path receives the run's trace as CSV, the partial trace of
+    a failed run included.
     """
     start = time.perf_counter()
-    y = np.asarray(y, dtype=np.float64)
     op, mask = cfg.build_operator()
+    # Before the offset is subtracted, which would broadcast a mis-shaped y.
+    y = check_shape("measurement y", y, op.output_shape)
+    if x_true is not None:
+        x_true = check_shape("x_true", x_true, cfg.image_shape())
     offset = op.apply(np.full(op.input_shape, 0.5))
     x_hat = None
-    nfe = 0
-    clamp_events = 0
+    traj = None
     status = "ok"
     try:
         z_hat, traj = sample_posterior(
             cfg.sampler, cfg.field, cfg.decoder, op, y - offset,
             record_residuals=trajectory_path is not None,
         )
-        nfe = traj.nfe
-        clamp_events = traj.clamp_events
-        if trajectory_path is not None:
-            traj.to_csv(trajectory_path)
         x_hat = np.clip(decode(cfg.decoder, z_hat) + 0.5, 0.0, 1.0)
         if mask is not None:
             x_hat = inpaint_splice(mask, op.adjoint(y), x_hat)
     except LflowError as exc:
         status = f"failed:{type(exc).__name__}"
-        if exc.trajectory is not None:
-            nfe = exc.trajectory.nfe
-            clamp_events = exc.trajectory.clamp_events
+        if traj is None:
+            traj = exc.trajectory
+    nfe = 0 if traj is None else traj.nfe
+    clamp_events = 0 if traj is None else traj.clamp_events
+    if traj is not None and trajectory_path is not None:
+        traj.to_csv(trajectory_path)
     wall_ms = (time.perf_counter() - start) * 1e3
     if x_true is None and cfg.image == SYNTHETIC_IMAGE:
         x_true = synthetic_image(cfg.size)
@@ -428,11 +432,12 @@ def bench_cov_modes(cfg: TaskConfig, modes=COV_MODE_KINDS) -> list[RunReport]:
     Per-mode failures are recorded in their rows; the sweep always
     returns one row per requested mode, in the requested order. A mode
     the config rejects (zero with sigma_y = 0) raises ConfigError before
-    any run starts.
+    any run starts. y comes from the first mode's config, whose operator
+    that mode's run reuses: the operator depends on the task keys only.
     """
     configs = [replace(cfg, cov_mode=mode) for mode in modes]
     if not configs:
         raise ValueError("need at least one covariance mode")
     x_true = resolve_truth(cfg)
-    y = degrade(cfg, x_true)
+    y = degrade(configs[0], x_true)
     return [reconstruct(mode_cfg, y, x_true=x_true)[1] for mode_cfg in configs]

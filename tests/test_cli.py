@@ -2,12 +2,15 @@
 
 import csv
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import lflow.tasks
 from lflow.cli import main
+from lflow.fields import AnalyticGaussianField
+from lflow.sampler import TRAJECTORY_COLUMNS, SamplerConfig
 
 FAST_CONFIG = """
 [task]
@@ -96,6 +99,68 @@ def test_sample_builds_one_operator(tmp_path, config_path, monkeypatch):
         monkeypatch.setattr(lflow.tasks, name, counting)
     assert main(["sample", "--config", config_path, "--out", str(tmp_path)]) == 0
     assert built == ["CircConvOperator"]
+
+
+BOX_CONFIG = """
+[task]
+kind = box-inpaint
+size = 16
+box_size = 8
+sigma_y = 0.05
+"""
+
+
+def count_constructions(monkeypatch):
+    """Count the fields and sampler configs constructed (by their
+    __post_init__) and the mask operators the config module builds."""
+    built = Counter()
+    for cls in (AnalyticGaussianField, SamplerConfig):
+        def counting_post_init(self, _real=cls.__post_init__, _name=cls.__name__):
+            built[_name] += 1
+            _real(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting_post_init)
+    real_mask = lflow.tasks.MaskOperator
+
+    def counting_mask(*args):
+        built["MaskOperator"] += 1
+        return real_mask(*args)
+
+    monkeypatch.setattr(lflow.tasks, "MaskOperator", counting_mask)
+    return built
+
+
+def test_flags_over_a_config_build_one_config(tmp_path, monkeypatch):
+    cfg = tmp_path / "box.cfg"
+    cfg.write_text(BOX_CONFIG)
+    built = count_constructions(monkeypatch)
+    assert main(["sample", "--config", str(cfg), "--out", str(tmp_path), "--seed", "3"]) == 0
+    assert built == {"AnalyticGaussianField": 1, "SamplerConfig": 1, "MaskOperator": 1}
+
+
+def test_bench_builds_one_config_per_mode(tmp_path, monkeypatch):
+    # The sweep degrades through the first mode's config, so its operator
+    # serves both the measurement and that mode's run.
+    cfg = tmp_path / "box.cfg"
+    cfg.write_text(BOX_CONFIG)
+    built = count_constructions(monkeypatch)
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert built == {"AnalyticGaussianField": 5, "SamplerConfig": 5, "MaskOperator": 4}
+
+
+def test_a_flag_replaces_a_file_value_before_it_is_checked(tmp_path, capsys):
+    # sigma_y = 0 with cov_mode = zero is singular; --cov-mode lflow replaces
+    # the file's mode, and only the configuration that runs is checked.
+    cfg = tmp_path / "singular.cfg"
+    cfg.write_text(FAST_CONFIG.replace("sigma_y = 0.05", "sigma_y = 0")
+                   .replace("literal_update = true", "literal_update = true\ncov_mode = zero"))
+    assert main(["sample", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "[guidance] cov_mode" in capsys.readouterr().err
+    code = main(["sample", "--config", str(cfg), "--cov-mode", "lflow", "--out", str(tmp_path)])
+    assert code == 0
+    rows = read_report_rows(tmp_path / "gaussian-deblur-lflow-0-report.csv")
+    assert rows[0]["cov_mode"] == "lflow"
+    assert rows[0]["status"] == "ok"
 
 
 def test_sample_records_a_trajectory(tmp_path, config_path):
@@ -293,6 +358,18 @@ def test_failed_runs_exit_nonzero(tmp_path, capsys):
     rows = read_report_rows(tmp_path / "gaussian-deblur-lflow-0-report.csv")
     assert rows[0]["status"] == "failed:MaxStepsExceededError"
     assert not (tmp_path / "gaussian-deblur-lflow-0-recon.pgm").exists()
+
+
+def test_a_failed_run_writes_its_partial_trajectory(tmp_path):
+    cfg = tmp_path / "doomed.cfg"
+    cfg.write_text(FAST_CONFIG + "max_steps = 2\n")
+    trace = tmp_path / "trace.csv"
+    code = main(["sample", "--config", str(cfg), "--out", str(tmp_path),
+                 "--trajectory", str(trace)])
+    assert code == 1
+    lines = trace.read_text().splitlines()
+    assert tuple(lines[0].split(",")) == TRAJECTORY_COLUMNS
+    assert float(lines[1].split(",")[0]) == 0.8
 
 
 def test_argparse_rejects_bad_flag_values(capsys):

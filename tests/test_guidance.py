@@ -379,6 +379,37 @@ def test_cg_velocity_makes_one_inner_vector_call_per_pass(monkeypatch):
             assert len(passes) == k_steps, t
 
 
+def test_a_cg_evaluation_computes_its_scalars_once_for_all_passes(monkeypatch):
+    # r2(t) and c(t) depend on t alone, so the K passes of one evaluation
+    # share them; the cold reference velocity keeps the bits of a loop that
+    # recomputes them per pass.
+    calls = {"posterior_cov_scalar": 0, "mean_jacobian_scalar": 0}
+    for name in calls:
+        real = getattr(lflow.guidance, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(lflow.guidance, name, counting)
+    op, y, z = cg_problem(33, shape=(8, 8))
+    field = AnalyticGaussianField(sigma_latr=0.5)
+    dec = IdentityDecoder(op.input_shape)
+    spec = GuidanceSpec(sigma_y=0.05, k_steps=3, solver=ConjugateGradientSolver())
+    make_velocity(spec, field, dec, op, y)(z, 0.7)
+    assert calls == {"posterior_cov_scalar": 1, "mean_jacobian_scalar": 1}
+    got = corrected_velocity(spec, field, dec, op, y, z, 0.7)
+    v_uncond = eval_field(field, z, 0.7)
+    g = 0.7 / (1.0 - 0.7)
+    r2 = posterior_cov_scalar(spec.cov_mode, 0.7, field)
+    c = mean_jacobian_scalar(field, 0.7)
+    v = v_uncond
+    for _ in range(3):
+        u = inner_vector(op, y - op.apply(z - 0.7 * v), 0.05, r2, solver=spec.solver)
+        v = v_uncond - g * (c * u)
+    np.testing.assert_array_equal(got, v)
+
+
 def test_warm_cg_runs_share_no_state():
     # Run A, then run B on another measurement, then A again: the warm
     # starts live in one run's closure, so the two A runs are identical.

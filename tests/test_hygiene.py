@@ -19,6 +19,10 @@ count through one.
 The run path dispatches on the solver's own methods: `guidance.py` and
 `sampler.py` call `isinstance` nowhere.
 
+The command line has one route to a run configuration: `cli.py` calls
+`task_config_from_sections` once and never `replace`,
+`default_task_config` or `TaskConfig` itself.
+
 The README's configuration example parses as it stands, shows every key
 of the grammar in canonical order, and builds the Gaussian deblur preset
 it shows. The command-line output the README quotes (the quick start and
@@ -212,6 +216,30 @@ def test_the_run_path_asks_no_solver_its_type(name):
     # Each solver carries its own inner_vector, velocity or run.
     lines = isinstance_calls((ROOT / "src" / "lflow" / name).read_text(encoding="utf-8"))
     assert not lines, lines
+
+
+def called_names(source: str) -> list[str]:
+    """The name each call calls: `f` for `f(...)` and for `a.b.f(...)`."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            fn = node.func
+            if isinstance(fn, ast.Name):
+                names.append(fn.id)
+            elif isinstance(fn, ast.Attribute):
+                names.append(fn.attr)
+    return sorted(names)
+
+
+def test_the_cli_builds_its_config_only_from_sections():
+    # File and flags are merged as sections and built once, so no second
+    # construction (replace) or second route (the preset, the class) exists.
+    # The scan sees plain and attribute calls, and not names that are only read.
+    source = "a = f(x)\nb = mod.g(x)\nc = mod.sub.h(f)\nd: TaskConfig = replace\n"
+    assert called_names(source) == ["f", "g", "h"]
+    calls = called_names((ROOT / "src" / "lflow" / "cli.py").read_text(encoding="utf-8"))
+    assert not {"replace", "default_task_config", "TaskConfig"} & set(calls)
+    assert calls.count("task_config_from_sections") == 1
 
 
 def readme_blocks(heading: str) -> list[str]:

@@ -25,7 +25,7 @@ import lflow
 import lflow.tasks
 
 from lflow.config import CONFIG_SCHEMA
-from lflow.errors import ConfigError
+from lflow.errors import ConfigError, ShapeMismatchError
 from lflow.fields import COV_MODE_KINDS
 from lflow.guidance import ConjugateGradientSolver, GuidanceSpec
 from lflow.metrics import SSIM_WINDOW_SIZE
@@ -373,6 +373,42 @@ def test_reconstruct_records_a_trajectory(tmp_path):
     last = lines[-1].split(",")
     assert float(last[0]) == pytest.approx(1e-3, abs=1e-12)
     assert last[3] != ""
+
+
+def _counting_field_velocity(monkeypatch):
+    """Record every evaluation of the analytic field that a config builds."""
+    calls = []
+    real = lflow.tasks.AnalyticGaussianField.velocity
+
+    def counting(self, z, t):
+        calls.append(t)
+        return real(self, z, t)
+
+    monkeypatch.setattr(lflow.tasks.AnalyticGaussianField, "velocity", counting)
+    return calls
+
+
+@pytest.mark.parametrize("short", ["one entry", "one entry or row short"])
+@pytest.mark.parametrize("kind", TASK_KINDS)
+def test_reconstruct_rejects_a_mis_shaped_measurement_before_any_evaluation(
+        kind, short, monkeypatch):
+    # The mid-gray offset would broadcast a single entry, and numpy would
+    # fail on a short y; reconstruct checks y's shape by name first.
+    cfg = default_task_config(kind, size=16, box_size=8)
+    calls = _counting_field_velocity(monkeypatch)
+    y = degrade(cfg)
+    y = y.ravel()[:1] if short == "one entry" else y[:-1]
+    with pytest.raises(ShapeMismatchError, match="measurement y"):
+        reconstruct(cfg, y)
+    assert calls == []
+
+
+def test_reconstruct_rejects_a_mis_shaped_truth_before_any_evaluation(monkeypatch):
+    cfg = fast_config()
+    calls = _counting_field_velocity(monkeypatch)
+    with pytest.raises(ShapeMismatchError, match="x_true"):
+        reconstruct(cfg, degrade(cfg), x_true=np.zeros((15, 16)))
+    assert calls == []
 
 
 def test_solver_failures_become_failed_rows():
