@@ -27,7 +27,7 @@ import os
 import sys
 
 from .config import parse_config_file
-from .errors import LflowError
+from .errors import ConfigError, LflowError
 from .fields import COV_MODE_KINDS
 from .imageio import write_image
 from .operators import block_downsample_check
@@ -89,7 +89,11 @@ def _resolve_config(args) -> TaskConfig:
 
 
 def _out_dir(cfg: TaskConfig) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"[run] out_dir: cannot create {cfg.out_dir!r}: "
+                          f"{exc.strerror}") from exc
     return cfg.out_dir
 
 
@@ -106,17 +110,20 @@ def _degrade_and_write(cfg: TaskConfig):
 
 
 def _write_reports(cfg: TaskConfig, reports, path_base: str) -> str:
-    if cfg.report_format == "json":
-        path = path_base + ".json"
-        write_reports_json(reports, path)
-    else:
-        path = path_base + ".csv"
-        write_reports_csv(reports, path)
+    path = f"{path_base}.{cfg.report_format}"
+    {"csv": write_reports_csv, "json": write_reports_json}[cfg.report_format](reports, path)
     return path
 
 
 def _cmd_sample(args) -> int:
     cfg = _resolve_config(args)
+    if args.trajectory is not None:
+        # Found unwritable before the run, not when the finished run writes it.
+        try:
+            open(args.trajectory, "a", encoding="ascii").close()
+        except OSError as exc:
+            raise ConfigError(f"--trajectory: cannot write {args.trajectory!r}: "
+                              f"{exc.strerror}") from exc
     base, x_true, y = _degrade_and_write(cfg)
     x_hat, report = reconstruct(cfg, y, x_true=x_true,
                                 trajectory_path=args.trajectory)

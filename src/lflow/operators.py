@@ -268,7 +268,7 @@ class ConvDownsampleOperator:
     def apply(self, x) -> np.ndarray:
         x = check_shape(f"{self.kind} apply", x, self.input_shape)
         blurred = _irdft2(self.khat * dft2_forward(x), self.input_shape)
-        return blurred[:: self.factor, :: self.factor].copy()
+        return np.ascontiguousarray(blurred[:: self.factor, :: self.factor])
 
     def adjoint(self, y) -> np.ndarray:
         return _irdft2(self._adjoint_spectrum(self.coeffs(y)), self.input_shape)

@@ -143,12 +143,15 @@ class AdaptiveHeunSolver:
         return min(self.h_init or span / H_INIT_FRACTION, span)
 
     def check_span(self, span: float) -> None:
-        """Reject an h_min above the first step, which would underflow at once."""
+        """Reject a first step below h_min, where a run would underflow at once;
+        the message leads with h_min, or with h_init when one was given."""
         h_first = self.first_step(span)
         if span > 1e-12 and h_first < self.h_min:
-            raise ValueError(f"h_min = {self.h_min!r} exceeds the first adaptive step "
-                             f"{h_first:.6g} (h_init = {self.h_init!r}; None means "
-                             f"(t_s - t_min) / {H_INIT_FRACTION})")
+            if self.h_init is None:
+                raise ValueError(f"h_min = {self.h_min!r} exceeds the first adaptive step "
+                                 f"{h_first:.6g}, (t_s - t_min) / {H_INIT_FRACTION}")
+            raise ValueError(f"h_init = {self.h_init!r} makes the first adaptive step "
+                             f"{h_first:.6g}, below h_min = {self.h_min!r}")
 
     def run(self, config, f, z, t_min, rec):
         atol, rtol = self.atol, self.rtol
@@ -226,9 +229,7 @@ class SamplerConfig:
                 f"{self.schedule.t_max}]"
             )
         if self.init_mode not in INIT_MODES:
-            raise ValueError(
-                f"unknown init mode {self.init_mode!r}; expected one of {INIT_MODES}"
-            )
+            raise ValueError(f"init_mode: {self.init_mode!r} not one of {INIT_MODES}")
         self.solver.check_span(self.t_s - self.schedule.t_min)
 
 

@@ -8,10 +8,11 @@ suite: 64x64 images, 9x9 blur kernels, 2x super-resolution, 32x32
 centered box inpainting.
 
 Pixel fields live in [0, 1]; the prior field is zero-mean, so the
-pipeline centers measurements around the operator image of mid-gray
-before sampling and undoes the shift afterwards. All four operator kinds
-map a constant 0.5 field to 0.5 measurements exactly (blur taps sum to
-one), so the centering is exact, not approximate.
+pipeline subtracts mid-gray, 0.5, from the measurements before sampling
+and adds it back afterwards. Every task operator maps a constant 0.5
+field to 0.5 measurements (a mask selects entries, and blur taps are
+normalized to sum to one), so subtracting the constant instead of A·0.5
+is exact, not approximate, and costs no operator call.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import CONFIG_SCHEMA, config_hash
-from .decoders import DiagonalScaleDecoder, IdentityDecoder, decode
+from .decoders import DiagonalScaleDecoder, decode
 from .errors import ConfigError, ImageFormatError, LflowError, ZeroScaleError
 from .fields import AnalyticGaussianField, COV_MODE_KINDS, CovarianceMode
 from .guidance import ClosedFormSolver, ConjugateGradientSolver, GuidanceSpec
@@ -43,14 +44,11 @@ from .report import RunReport
 from .sampler import (
     AdaptiveHeunSolver,
     EulerSolver,
-    H_INIT_FRACTION,
     HeunSolver,
-    INIT_MODES,
     SamplerConfig,
     inpaint_splice,
     sample_posterior,
 )
-from .schedule import T_MAX_DEFAULT, T_MIN_DEFAULT
 
 TASK_KINDS = ("gaussian-deblur", "motion-deblur", "super-resolution", "box-inpaint")
 GUIDANCE_SOLVER_NAMES = ("closed-form", "cg")
@@ -81,7 +79,8 @@ class TaskConfig:
 
     Construction is the only validation stage, for files, CLI flags and
     library code alike: a value no run could use raises ValueError naming
-    its `[section] key`, and the two cross-key conflicts raise ConfigError.
+    its `[section] key`, and the singular-system conflict (sigma_y = 0
+    with cov_mode = zero) raises ConfigError.
     The field, decoder and sampler it builds to check are kept as `field`,
     `decoder` and `sampler` (the guidance is `sampler.guidance`).
     """
@@ -124,7 +123,6 @@ class TaskConfig:
             ("cov_mode", COV_MODE_KINDS),
             ("guidance_solver", GUIDANCE_SOLVER_NAMES),
             ("ode_solver", ODE_SOLVER_NAMES),
-            ("init_mode", INIT_MODES),
             ("report_format", REPORT_FORMATS),
             ("decoder_kind", ("identity", "scale")),
         ):
@@ -170,14 +168,6 @@ class TaskConfig:
                               f"= zero makes the measurement system S = sigma_y^2 I "
                               f"+ r2 A A^T singular (r2 = 0 in zero mode, and "
                               f"sigma_y^2 = 0 at sigma_y = {self.sigma_y!r})")
-        # The adaptive loop's first step; an h_min above it underflows at once.
-        span = self.t_s - T_MIN_DEFAULT
-        if self.ode_solver == "adaptive" and span > 1e-12 and self.t_s <= T_MAX_DEFAULT:
-            h_first = AdaptiveHeunSolver(h_init=self.h_init or None).first_step(span)
-            if h_first < self.h_min:
-                raise ConfigError(f"{_CONFIG_KEY['h_min']} = {self.h_min!r} exceeds the first "
-                                  f"adaptive step {h_first:.6g} ({_CONFIG_KEY['h_init']} = "
-                                  f"{self.h_init!r}; 0 means (t_s - t_min) / {H_INIT_FRACTION})")
         # The runtime objects, kept for the run, check the rest under their own
         # names (the decoder's only rejectable value is its scale; the rules
         # above cover the guidance's and the operator's inputs).
@@ -234,10 +224,8 @@ class TaskConfig:
 
     @cached_property
     def decoder(self):
-        shape = self.image_shape()
-        if self.decoder_kind == "identity":
-            return IdentityDecoder(shape)
-        return DiagonalScaleDecoder(self.decoder_scale, shape)
+        scale = 1.0 if self.decoder_kind == "identity" else self.decoder_scale
+        return DiagonalScaleDecoder(scale, self.image_shape())
 
     @cached_property
     def sampler(self) -> SamplerConfig:
@@ -375,17 +363,16 @@ def reconstruct(cfg: TaskConfig, y, x_true=None,
     """
     start = time.perf_counter()
     op, mask = cfg.build_operator()
-    # Before the offset is subtracted, which would broadcast a mis-shaped y.
+    # A mis-shaped y fails here: subtracting the scalar mid-gray would not catch it.
     y = check_shape("measurement y", y, op.output_shape)
     if x_true is not None:
         x_true = check_shape("x_true", x_true, cfg.image_shape())
-    offset = op.apply(np.full(op.input_shape, 0.5))
     x_hat = None
     traj = None
     status = "ok"
     try:
         z_hat, traj = sample_posterior(
-            cfg.sampler, cfg.field, cfg.decoder, op, y - offset,
+            cfg.sampler, cfg.field, cfg.decoder, op, y - 0.5,
             record_residuals=trajectory_path is not None,
         )
         x_hat = np.clip(decode(cfg.decoder, z_hat) + 0.5, 0.0, 1.0)
@@ -432,10 +419,12 @@ def bench_cov_modes(cfg: TaskConfig, modes=COV_MODE_KINDS) -> list[RunReport]:
     Per-mode failures are recorded in their rows; the sweep always
     returns one row per requested mode, in the requested order. A mode
     the config rejects (zero with sigma_y = 0) raises ConfigError before
-    any run starts. y comes from the first mode's config, whose operator
-    that mode's run reuses: the operator depends on the task keys only.
+    any run starts. cfg serves its own mode; each other mode gets a copy.
+    y comes from the first mode's config, whose operator that mode's run
+    reuses: the operator depends on the task keys only.
     """
-    configs = [replace(cfg, cov_mode=mode) for mode in modes]
+    configs = [cfg if mode == cfg.cov_mode else replace(cfg, cov_mode=mode)
+               for mode in modes]
     if not configs:
         raise ValueError("need at least one covariance mode")
     x_true = resolve_truth(cfg)

@@ -145,7 +145,54 @@ def test_bench_builds_one_config_per_mode(tmp_path, monkeypatch):
     cfg.write_text(BOX_CONFIG)
     built = count_constructions(monkeypatch)
     assert main(["bench", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    assert built == {"AnalyticGaussianField": 5, "SamplerConfig": 5, "MaskOperator": 4}
+    assert built == {"AnalyticGaussianField": 4, "SamplerConfig": 4, "MaskOperator": 4}
+
+
+def test_bench_of_one_mode_runs_the_config_it_built(tmp_path, monkeypatch):
+    cfg = tmp_path / "box.cfg"
+    cfg.write_text(BOX_CONFIG)
+    built = count_constructions(monkeypatch)
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path),
+                 "--cov-mode", "pigdm"]) == 0
+    assert built == {"AnalyticGaussianField": 1, "SamplerConfig": 1, "MaskOperator": 1}
+
+
+def count_field_evaluations(monkeypatch):
+    calls = []
+    real = AnalyticGaussianField.velocity
+    monkeypatch.setattr(AnalyticGaussianField, "velocity",
+                        lambda self, z, t: calls.append(t) or real(self, z, t))
+    return calls
+
+
+@pytest.mark.parametrize("command", ["sample", "degrade", "bench"])
+def test_an_out_dir_that_cannot_be_made_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                         command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    calls = count_field_evaluations(monkeypatch)
+    code = main([command, "--task", "box-inpaint", "--out", str(blocker / "sub")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [run] out_dir: cannot create")
+    assert calls == []
+
+
+@pytest.mark.parametrize("where", ["under a file", "a directory"])
+def test_a_trajectory_that_cannot_be_written_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                              config_path, where):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = tmp_path / "out"
+    calls = count_field_evaluations(monkeypatch)
+    trajectory = blocker / "t.csv" if where == "under a file" else tmp_path
+    code = main(["sample", "--config", config_path, "--out", str(out),
+                 "--trajectory", str(trajectory)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --trajectory")
+    assert calls == []
+    assert not out.exists()
 
 
 def test_a_flag_replaces_a_file_value_before_it_is_checked(tmp_path, capsys):

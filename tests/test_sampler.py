@@ -183,6 +183,15 @@ def test_solver_parameter_validation():
         AdaptiveHeunSolver(max_steps=0)
 
 
+def test_a_first_step_below_h_min_is_blamed_on_the_value_that_set_it():
+    with pytest.raises(ValueError, match=r"^h_min = 1\.0 exceeds the first adaptive step "
+                                         r"0\.01598, \(t_s - t_min\) / 50$"):
+        SamplerConfig(solver=AdaptiveHeunSolver(h_min=1.0))
+    with pytest.raises(ValueError, match=r"^h_init = 0\.001 makes the first adaptive step "
+                                         r"0\.001, below h_min = 0\.002$"):
+        SamplerConfig(solver=AdaptiveHeunSolver(h_init=1e-3, h_min=2e-3))
+
+
 def test_h_min_above_the_first_adaptive_step_fails_before_any_evaluation():
     # The first step is (t_s - t_min) / 50 = 0.01598 at t_s = 0.8, or h_init.
     dec = IdentityDecoder((2, 2))

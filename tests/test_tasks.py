@@ -83,6 +83,11 @@ def test_config_vocabulary_validation():
         TaskConfig(size=0)
 
 
+def test_a_bad_init_mode_names_its_sampler_key():
+    with pytest.raises(ValueError, match=r"\[sampler\] init_mode: 'warm' not one of"):
+        TaskConfig(init_mode="warm")
+
+
 def test_size_must_hold_the_ssim_window():
     with pytest.raises(ValueError, match=r"\[task\] size: must be >= 11"):
         TaskConfig(size=SSIM_WINDOW_SIZE - 1, kernel_size=5)
@@ -401,6 +406,27 @@ def test_reconstruct_rejects_a_mis_shaped_measurement_before_any_evaluation(
     with pytest.raises(ShapeMismatchError, match="measurement y"):
         reconstruct(cfg, y)
     assert calls == []
+
+
+@pytest.mark.parametrize("size", [16, 64, 256])
+@pytest.mark.parametrize("kind", TASK_KINDS)
+def test_every_preset_operator_maps_mid_gray_to_mid_gray_exactly(kind, size):
+    # reconstruct subtracts the constant 0.5 for A 0.5: bit for bit the same.
+    op, _ = default_task_config(kind, size=size, box_size=size // 2).build_operator()
+    assert np.all(op.apply(np.full(op.input_shape, 0.5)) == 0.5)
+
+
+@pytest.mark.parametrize("kind", TASK_KINDS)
+def test_reconstruct_centres_y_without_applying_the_operator(kind, monkeypatch):
+    cfg = default_task_config(kind, size=16, box_size=8, atol=1e-3, rtol=1e-3)
+    y = degrade(cfg)
+    op, _ = cfg.build_operator()
+    evaluations = _counting_field_velocity(monkeypatch)
+    applied_before_sampling = []
+    monkeypatch.setattr(op, "apply", lambda x, _real=op.apply:
+                        applied_before_sampling.append(not evaluations) or _real(x))
+    assert reconstruct(cfg, y)[1].ok
+    assert evaluations and not any(applied_before_sampling)
 
 
 def test_reconstruct_rejects_a_mis_shaped_truth_before_any_evaluation(monkeypatch):
