@@ -3,83 +3,79 @@
 Binary PGM (P5) at 8 or 16 bits is the native format: stdlib-only, exact,
 and byte-stable for golden tests. 16-bit samples are big-endian per the
 format. Values are scaled by maxval on read; writes clip to [0, 1] and
-quantize with round-half-even. PNG support piggybacks on Pillow when it
-is installed and stays out of the import path otherwise.
+quantize with round-half-even. A PGM header is P5, then width, height and
+maxval in ASCII digits, each after whitespace or #-to-end-of-line comments,
+then one whitespace byte. PNG support piggybacks on Pillow when it is
+installed and stays out of the import path otherwise.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
 from .errors import ImageFormatError, ShapeMismatchError
 from .numerics import as_field, require_finite
 
-PGM_MAGIC = b"P5"
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
 
 
-def _prepare(field) -> np.ndarray:
+def _quantize(field, bits: int) -> np.ndarray:
+    """Check a field and round it to samples 0..2**bits - 1, left as floats."""
+    if bits not in (8, 16):
+        raise ValueError(f"bits must be 8 or 16, got {bits}")
     arr = as_field(field)
     if arr.ndim != 2:
         raise ShapeMismatchError(f"images are 2-D fields, got {arr.ndim}-D")
+    if arr.size == 0:
+        raise ShapeMismatchError(f"images need at least one pixel, got shape {arr.shape}")
     require_finite("image", arr)
-    return np.clip(arr, 0.0, 1.0)
+    return np.rint(np.clip(arr, 0.0, 1.0) * ((1 << bits) - 1))
+
+
+def _pillow():
+    """The ``PIL.Image`` module, imported only when a PNG is read or written."""
+    try:
+        from PIL import Image
+    except ImportError as exc:
+        raise ImageFormatError("PNG support needs the Pillow package") from exc
+    return Image
+
+
+def _codec(path, codecs: dict):
+    """The entry of ``codecs`` named by the extension of ``path``, in any case."""
+    _, dot, ext = str(path).lower().rpartition(".")
+    if not dot or ext not in codecs:
+        raise ImageFormatError(f"unsupported image extension: {path}")
+    return codecs[ext]
 
 
 def write_pgm(path, field, bits: int = 8) -> None:
     """Write a [0, 1] field as binary PGM at 8 or 16 bits per sample."""
-    if bits not in (8, 16):
-        raise ValueError(f"bits must be 8 or 16, got {bits}")
-    arr = _prepare(field)
-    maxval = (1 << bits) - 1
-    quant = np.rint(arr * maxval)
-    h, w = arr.shape
+    quant = _quantize(field, bits)
+    h, w = quant.shape
     with open(path, "wb") as fh:
-        fh.write(PGM_MAGIC + b"\n%d %d\n%d\n" % (w, h, maxval))
-        if bits == 8:
-            fh.write(quant.astype(np.uint8).tobytes())
-        else:
-            fh.write(quant.astype(">u2").tobytes())
-
-
-def _read_header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
-    """Pull whitespace-separated header tokens, honoring # comments."""
-    tokens: list[bytes] = []
-    i = 0
-    while len(tokens) < count:
-        if i >= len(data):
-            raise ImageFormatError("truncated header")
-        c = data[i : i + 1]
-        if c == b"#":
-            while i < len(data) and data[i : i + 1] != b"\n":
-                i += 1
-        elif c.isspace():
-            i += 1
-        else:
-            start = i
-            while i < len(data) and not data[i : i + 1].isspace():
-                i += 1
-            tokens.append(data[start:i])
-    if i >= len(data) or not data[i : i + 1].isspace():
-        raise ImageFormatError("header not terminated by whitespace")
-    return tokens, i + 1
+        fh.write(b"P5\n%d %d\n%d\n" % (w, h, (1 << bits) - 1))
+        fh.write(quant.astype(np.uint8 if bits == 8 else ">u2").tobytes())
 
 
 def read_pgm(path) -> np.ndarray:
     """Read a binary PGM into a [0, 1] float field."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if not data.startswith(PGM_MAGIC):
-        raise ImageFormatError(f"{path}: not a binary PGM (P5) file")
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise ImageFormatError(f"{path}: not a binary PGM (P5) file with a valid header")
     try:
-        (magic, w_tok, h_tok, max_tok), offset = _read_header_tokens(data, 4)
-        w, h, maxval = int(w_tok), int(h_tok), int(max_tok)
-    except (ValueError, ImageFormatError) as exc:
+        w, h, maxval = map(int, header.groups())
+    except ValueError as exc:  # more digits than int() converts
         raise ImageFormatError(f"{path}: malformed PGM header ({exc})") from exc
     if w < 1 or h < 1 or not 0 < maxval < 65536:
         raise ImageFormatError(f"{path}: invalid PGM dimensions {w}x{h}/{maxval}")
     dtype = np.dtype(np.uint8) if maxval < 256 else np.dtype(">u2")
     need = w * h * dtype.itemsize
-    raw = data[offset : offset + need]
+    raw = data[header.end() : header.end() + need]
     if len(raw) < need:
         raise ImageFormatError(f"{path}: truncated pixel data "
                                f"({len(raw)} of {need} bytes)")
@@ -89,28 +85,14 @@ def read_pgm(path) -> np.ndarray:
 
 def write_png(path, field, bits: int = 8) -> None:
     """Write PNG through Pillow (optional dependency)."""
-    try:
-        from PIL import Image
-    except ImportError as exc:
-        raise ImageFormatError("PNG support needs the Pillow package") from exc
-    if bits not in (8, 16):
-        raise ValueError(f"bits must be 8 or 16, got {bits}")
-    arr = _prepare(field)
-    maxval = (1 << bits) - 1
-    quant = np.rint(arr * maxval)
-    if bits == 8:
-        Image.fromarray(quant.astype(np.uint8), mode="L").save(path)
-    else:
-        Image.fromarray(quant.astype(np.uint16)).save(path)
+    pil = _pillow()
+    quant = _quantize(field, bits)
+    pil.fromarray(quant.astype(np.uint8 if bits == 8 else np.uint16)).save(path)
 
 
 def read_png(path) -> np.ndarray:
     """Read a grayscale PNG into a [0, 1] float field (needs Pillow)."""
-    try:
-        from PIL import Image
-    except ImportError as exc:
-        raise ImageFormatError("PNG support needs the Pillow package") from exc
-    with Image.open(path) as img:
+    with _pillow().open(path) as img:
         mode = img.mode
         arr = np.asarray(img)
     if mode in ("I", "I;16"):
@@ -123,20 +105,10 @@ def read_png(path) -> np.ndarray:
 
 def write_image(path, field, bits: int = 8) -> None:
     """Dispatch on extension: .pgm native, .png via Pillow."""
-    name = str(path).lower()
-    if name.endswith(".pgm"):
-        write_pgm(path, field, bits=bits)
-    elif name.endswith(".png"):
-        write_png(path, field, bits=bits)
-    else:
-        raise ImageFormatError(f"unsupported image extension: {path}")
+    # Built per call, so the table holds the module attributes wrappers set.
+    _codec(path, {"pgm": write_pgm, "png": write_png})(path, field, bits=bits)
 
 
 def read_image(path) -> np.ndarray:
     """Dispatch on extension: .pgm native, .png via Pillow."""
-    name = str(path).lower()
-    if name.endswith(".pgm"):
-        return read_pgm(path)
-    if name.endswith(".png"):
-        return read_png(path)
-    raise ImageFormatError(f"unsupported image extension: {path}")
+    return _codec(path, {"pgm": read_pgm, "png": read_png})(path)

@@ -144,14 +144,17 @@ class AdaptiveHeunSolver:
 
     def check_span(self, span: float) -> None:
         """Reject a first step below h_min, where a run would underflow at once;
-        the message leads with h_min, or with h_init when one was given."""
+        the message leads with h_init when the first step is h_init itself,
+        and otherwise with h_min, the only value that can fix it."""
         h_first = self.first_step(span)
         if span > 1e-12 and h_first < self.h_min:
-            if self.h_init is None:
-                raise ValueError(f"h_min = {self.h_min!r} exceeds the first adaptive step "
-                                 f"{h_first:.6g}, (t_s - t_min) / {H_INIT_FRACTION}")
-            raise ValueError(f"h_init = {self.h_init!r} makes the first adaptive step "
-                             f"{h_first:.6g}, below h_min = {self.h_min!r}")
+            if h_first == self.h_init:
+                raise ValueError(f"h_init = {self.h_init!r} makes the first adaptive step "
+                                 f"{h_first:.6g}, below h_min = {self.h_min!r}")
+            rule = (f"(t_s - t_min) / {H_INIT_FRACTION}" if self.h_init is None
+                    else "the whole span t_s - t_min")
+            raise ValueError(f"h_min = {self.h_min!r} exceeds the first adaptive step "
+                             f"{h_first:.6g}, {rule}")
 
     def run(self, config, f, z, t_min, rec):
         atol, rtol = self.atol, self.rtol

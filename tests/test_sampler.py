@@ -192,6 +192,14 @@ def test_a_first_step_below_h_min_is_blamed_on_the_value_that_set_it():
         SamplerConfig(solver=AdaptiveHeunSolver(h_init=1e-3, h_min=2e-3))
 
 
+def test_an_h_init_clipped_to_the_span_leaves_h_min_to_blame():
+    # t_s - t_min = 0.799 at t_s = 0.8: a larger h_init is clipped to it, so
+    # no h_init can lift the first step to h_min = 1.0.
+    with pytest.raises(ValueError, match=r"^h_min = 1\.0 exceeds the first adaptive step "
+                                         r"0\.799, the whole span t_s - t_min$"):
+        SamplerConfig(solver=AdaptiveHeunSolver(h_init=5.0, h_min=1.0))
+
+
 def test_h_min_above_the_first_adaptive_step_fails_before_any_evaluation():
     # The first step is (t_s - t_min) / 50 = 0.01598 at t_s = 0.8, or h_init.
     dec = IdentityDecoder((2, 2))

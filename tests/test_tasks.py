@@ -397,8 +397,8 @@ def _counting_field_velocity(monkeypatch):
 @pytest.mark.parametrize("kind", TASK_KINDS)
 def test_reconstruct_rejects_a_mis_shaped_measurement_before_any_evaluation(
         kind, short, monkeypatch):
-    # The mid-gray offset would broadcast a single entry, and numpy would
-    # fail on a short y; reconstruct checks y's shape by name first.
+    # The mid-gray offset is a scalar, so subtracting it accepts a y of any
+    # shape; reconstruct's check of y's shape by name is the only guard.
     cfg = default_task_config(kind, size=16, box_size=8)
     calls = _counting_field_velocity(monkeypatch)
     y = degrade(cfg)
