@@ -139,6 +139,7 @@ class ScaledOperator:
         self.input_shape = op.input_shape
         self.output_shape = op.output_shape
         self.gram_eigenvalues = self.scale * self.scale * op.gram_eigenvalues
+        self.carry_coeffs = op.carry_coeffs
         self.coeffs = op.coeffs
 
     def apply(self, x) -> np.ndarray:

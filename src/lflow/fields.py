@@ -22,6 +22,11 @@ comes from a CovarianceMode evaluated at the field's surrogate sigma, since
 nothing here differentiates a black box. Every mode takes the field: lflow
 reads its sigma, and the other three ignore it. Both field kinds expose
 `velocity(z, t)` and `sigma_latr` (a callback field's is its surrogate).
+Each also gives `velocity_and_coeffs(z, zc, t, apply_coeffs)`: v(z, t)
+together with its coefficients in a measurement operator's basis, given
+the coefficients zc = apply_coeffs(z) of the state. The Gaussian field's
+velocity is s(t) z, so its coefficients are s(t) zc with no transform; a
+callback field's cost one `apply_coeffs(v)`.
 """
 
 from __future__ import annotations
@@ -58,6 +63,12 @@ class AnalyticGaussianField:
     def velocity(self, z: RealField, t: float) -> RealField:
         return self.scalar(t) * np.asarray(z, dtype=np.float64)
 
+    def velocity_and_coeffs(self, z: RealField, zc: np.ndarray, t: float, apply_coeffs):
+        """v(z, t) and its coefficients s(t) zc, from the coefficients zc of z:
+        the field is linear, so no transform. Both are fresh arrays."""
+        s = self.scalar(t)
+        return np.multiply(z, s), np.multiply(zc, s)
+
 
 @dataclass(frozen=True)
 class CallbackField:
@@ -74,6 +85,12 @@ class CallbackField:
 
     def velocity(self, z: RealField, t: float) -> RealField:
         return np.asarray(self.fn(z, t), dtype=np.float64)
+
+    def velocity_and_coeffs(self, z: RealField, zc: np.ndarray, t: float, apply_coeffs):
+        """v(z, t) and its coefficients apply_coeffs(v), one transform; the
+        coefficients are a fresh array, and v is never written."""
+        v = self.velocity(z, t)
+        return v, apply_coeffs(v)
 
     @property
     def sigma_latr(self) -> float:

@@ -29,6 +29,21 @@ place through one scratch buffer per solve and never writes rhs or an
 array that a matvec returned (a caller's matvec may hand back a cached
 buffer or its input).
 
+Carried coefficients: every state a stepper forms is a linear
+combination of earlier states and velocities, so its coefficients B_hat z
+are the same combination of theirs. A stepper that carries them beside
+the state hands them to `velocity(z, t, zc)`, which returns the
+velocity's coefficients B_hat k = B_hat v_u - lambda r with it, r the
+gained residual coefficients whose adjoint k subtracts: B_hat B^T
+acts as lambda in B's basis, so no forward transform is needed, and with
+the Gaussian field (B_hat v_u = s(t) B_hat z) an evaluation costs one
+inverse transform for any K. The closure's `coeffs` tells the sampler
+whether to carry: B's `apply_coeffs` when B sets `carry_coeffs` (the
+convolution class, bare or scaled, whose coefficients are a transform of
+the whole grid), else None. Masks and dense operators, whose coefficients
+cost a gather or a small product, and the conjugate-gradient solver step
+the state alone.
+
 Projected start: consecutive velocity evaluations of one run solve
 almost the same system with almost the same right-hand side, so the
 velocity that `ConjugateGradientSolver.velocity` builds keeps one
@@ -114,21 +129,32 @@ class ClosedFormSolver:
         w (1 - mu + ... + (-mu)^(k-1)) with mu = g t c lambda / d, because
         B B^T acts as lambda on each mode. The K-pass velocity is therefore
 
-            v_u - B^T (gain (y_hat - B_hat z_bar)),
+            k = v_u - B^T (gain (y_hat - B_hat z_bar)),
             gain = g c (1 - mu + mu^2 - ... +- mu^(K-1)) / d,
 
         the partial sum (1 - (-mu)^K) / (1 + mu) evaluated in Horner form, so
         neither 1 + mu nor a complex spectrum is ever divided. The gain is one
         real array per evaluation (a scalar for the mask's lambda = 1), applied
-        by one real-by-complex product on the residual coefficients. An
-        evaluation costs one forward and one inverse transform for any K. Buffer
-        discipline: the residual and the final difference are formed in place
-        on the fresh arrays apply_coeffs and adjoint_coeffs return; z and v_u
-        are never written. z_bar = z - t v_u is built as (-t) v_u + z on one
-        fresh array, which gives the same bits. The gain depends on t alone,
-        so the closure keeps the last (t, gain) and reuses it when Heun
-        re-evaluates at its previous stage's time; the kept array is never
-        written.
+        by one real-by-complex product on the residual coefficients.
+
+        `velocity(z, t)` forms B_hat z_bar = apply_coeffs(z - t v_u): one
+        forward and one inverse transform for any K. `velocity(z, t, zc)`
+        takes the coefficients zc = B_hat z of the state instead and returns
+        (k, B_hat k): B_hat z_bar = zc - t B_hat v_u with B_hat v_u from the
+        field's `velocity_and_coeffs`, and B_hat k = B_hat v_u - lambda r
+        with r = gain (y_hat - B_hat z_bar), since B_hat B^T acts as lambda.
+        With the Gaussian field that is one inverse transform and no forward
+        one. The closure's `coeffs` is apply_coeffs
+        when B says a run should carry zc (`carry_coeffs`, the convolution
+        class: there B_hat z is a transform of the whole grid), else None.
+
+        Buffer discipline: the residual and the final differences are formed
+        in place on fresh arrays (apply_coeffs's, adjoint_coeffs's and the
+        field's coefficients); z, zc and v_u are never written. z_bar =
+        z - t v_u is built as (-t) v_u + z on one fresh array, which gives the
+        same bits. The gain depends on t alone, so the closure keeps the last
+        (t, gain) and reuses it when Heun re-evaluates at its previous
+        stage's time; the kept array is never written.
         """
         passes = spec.k_steps
         sy2 = spec.sigma_y * spec.sigma_y
@@ -138,6 +164,7 @@ class ClosedFormSolver:
         adjoint_coeffs = b.adjoint_coeffs
         # The field and the covariance mode are fixed for the run.
         field_velocity = field.velocity
+        field_coeffs = field.velocity_and_coeffs
         mean_jacobian = mean_jacobian_fn(field)
         cov = posterior_cov_fn(spec.cov_mode, field)
 
@@ -161,18 +188,29 @@ class ClosedFormSolver:
             last_t, last_gain = t, gain
             return gain
 
-        def velocity(z, t: float) -> RealField:
-            v_uncond = field_velocity(z, t)
-            # gain (y_hat - B_hat z_bar), in place on the fresh array apply_coeffs
-            # returns, then v_u minus its adjoint, in place on the adjoint's output.
-            zbar = np.multiply(v_uncond, -t)
-            zbar += z
-            w = apply_coeffs(zbar)
+        def velocity(z, t: float, zc=None):
+            # w = B_hat z_bar, then r = gain (y_hat - w) in place on it, then
+            # v_u minus its adjoint, in place on the adjoint's output.
+            if zc is None:
+                v_uncond = field_velocity(z, t)
+                zbar = np.multiply(v_uncond, -t)
+                zbar += z
+                w = apply_coeffs(zbar)
+            else:
+                v_uncond, vc = field_coeffs(z, zc, t, apply_coeffs)
+                w = np.multiply(vc, -t)
+                w += zc
             np.subtract(y_hat, w, out=w)
             w *= gain_at(t)
             u = adjoint_coeffs(w)
-            return np.subtract(v_uncond, u, out=u)
+            k = np.subtract(v_uncond, u, out=u)
+            if zc is None:
+                return k
+            # B_hat k = B_hat v_u - lambda r, in place on the field's coefficients.
+            w *= lam
+            return k, np.subtract(vc, w, out=vc)
 
+        velocity.coeffs = apply_coeffs if b.carry_coeffs else None
         return velocity
 
 
@@ -224,6 +262,8 @@ class ConjugateGradientSolver:
 
         def velocity(z, t: float) -> RealField:
             return _corrected_velocity(spec, field, b, y, z, t, slots)
+
+        velocity.coeffs = None
         return velocity
 
 
@@ -427,7 +467,10 @@ def make_velocity(spec: GuidanceSpec, field: VectorFieldSpec, dec: DecoderSpec,
     """Build velocity(z, t) with per-run constants hoisted out of the loop.
 
     B = latent_operator(op, dec) is built once here for the guidance
-    solver's own `velocity`. y is checked once here, so a mis-shaped or
+    solver's own `velocity`. The callable's `coeffs` is B's `apply_coeffs`
+    when a run should carry the state's coefficients zc beside it, and
+    then velocity(z, t, zc) returns (k, B_hat k); otherwise it is None
+    (see "Carried coefficients" above). y is checked once here, so a mis-shaped or
     non-finite measurement fails the run (ShapeMismatchError, NonFiniteError)
     before its first evaluation; the transforms inside an evaluation check nothing.
     """

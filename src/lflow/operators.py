@@ -46,6 +46,12 @@ purpose the order is spelled out instead: the adjoint writes
 np.multiply(conj_khat, tiled, out=tiled), the operand order of
 `conj_khat * tile`, which its owned tile would otherwise swap.
 
+`carry_coeffs` says whether a closed-form run should step a state's
+coefficients beside the state (`lflow.guidance`, `lflow.sampler`): true
+for the convolution, whose `apply_coeffs` is a transform of the whole
+input grid, and false for the mask and the dense operator, whose
+coefficients cost a gather or a small product, less than carrying them.
+
 The fold and the tile that subsampling adds are the identity at s = 1,
 and there the convolution skips them: `apply_coeffs` and
 `gram_eigenvalues` take the product spectrum as it is, and the adjoint
@@ -134,6 +140,7 @@ class MaskOperator:
 
     kind = "mask"
     gram_eigenvalues = 1.0
+    carry_coeffs = False
 
     def __init__(self, mask):
         mask = as_field(mask)
@@ -199,6 +206,7 @@ class ConvDownsampleOperator:
     """
 
     kind = "convdown"
+    carry_coeffs = True
 
     def __init__(self, kernel: Kernel, shape: tuple[int, int], factor: int):
         h, w = shape
@@ -315,6 +323,7 @@ class DenseOperator:
     """
 
     kind = "dense"
+    carry_coeffs = False
 
     def __init__(self, matrix, input_shape: tuple | None = None,
                  output_shape: tuple | None = None):

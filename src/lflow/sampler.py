@@ -7,7 +7,16 @@ to t = 0 with a single denoising step. Time decreases along the run;
 under the noising-direction velocity convention that is exactly the
 reverse flow, no sign flip needed.
 
-Steppers: `integrate` calls the solver's own `run`.
+Steppers: `integrate` calls the solver's own `run`, which steps the state
+z and, beside it, its coefficients zc = B_hat z in the latent operator's
+basis when the velocity's `coeffs` says the route carries them (the
+closed form on the convolution class; see `lflow.guidance`). Each stage
+is f(z, t, zc) -> (k, kc), and every state the stepper forms, z + h k1
+and the Heun or Euler update, has its coefficients formed by the same
+combination of zc and the stages' kc, so the velocity needs no forward
+transform. The start state's coefficients cost one `apply_coeffs` per
+run. Where the route carries none, zc and every kc are None and the
+state steps alone, with the same bits as without them.
 
 * `EulerSolver(steps)` / `HeunSolver(steps)`: fixed uniform grid; every
   step counts as accepted. Each defines only its `step`; the grid loop
@@ -33,14 +42,19 @@ pair whose error estimate overflows stays a rejection. Since both
 overflows are handled, the stepping loop runs under one
 np.errstate(over="ignore") per run, not one per dot product.
 
-The adaptive loop computes the inverse error scale 1 / (atol + rtol |z|)
-once per accepted state, not once per attempt. From the one difference
-k2 - k1 of an attempt it forms the Heun state z_euler + (h/2)(k2 - k1)
-and the error |h/2| sqrt(sum(((k2 - k1) / scale)^2) / n), the sum taken
-as one dot product. Each intermediate (trial state, difference, Heun
-state) is built in place on its own fresh array. The loop never writes
-k1, which a rejected step reuses, or the accepted state z, which the
-next step reads and a solver error carries.
+The adaptive loop forms each attempt in `_heun_attempt`. From the one
+difference k2 - k1 of an attempt it forms the Heun state z_euler +
+(h/2)(k2 - k1) and the error |h/2| sqrt(sum(((k2 - k1) / scale)^2) / n),
+the sum taken as one dot product. Each intermediate (trial state,
+difference, Heun state, inverse scale 1 / (atol + rtol |z|)) is built in
+place on its own fresh array. The loop never writes k1 or kc1, which a
+rejected step reuses, or the accepted state z and zc, which the next
+step reads and a solver error carries. Memory: the inverse scale is
+built once per attempt, after the trial's evaluation, and the attempt's
+arrays die when it returns, so an evaluation runs beside the accepted
+state, its first stage and the Euler trial alone (with their
+coefficients), and the start state's coefficients are not kept once the
+run has moved on.
 
 Failures raise MaxStepsExceededError or StepUnderflowError, both
 carrying the last good state; any error raised mid-run also carries the
@@ -87,33 +101,36 @@ class _FixedStepSolver:
     def check_span(self, span: float) -> None:
         """A uniform grid fits any span t_s - t_min."""
 
-    def run(self, config, f, z, t_min, rec):
+    def run(self, config, f, z, zc, t_min, rec):
         n = self.steps
         h = (t_min - config.t_s) / n
         t = config.t_s
         for i in range(n):
             t_next = config.t_s + (i + 1) * h if i + 1 < n else t_min
-            z = self.step(f, z, t, t_next, h)
+            z, zc = self.step(f, z, zc, t, t_next, h)
             t = t_next
             rec.add(t, z)
-        return z
+        return z, zc
 
 
 @dataclass(frozen=True)
 class EulerSolver(_FixedStepSolver):
     """Fixed-step first-order integration."""
 
-    def step(self, f, z, t, t_next, h):
-        return z + h * f(z, t)
+    def step(self, f, z, zc, t, t_next, h):
+        k, kc = f(z, t, zc)
+        return z + h * k, _axpy(h, kc, zc)
 
 
 @dataclass(frozen=True)
 class HeunSolver(_FixedStepSolver):
     """Fixed-step second-order (trapezoidal predictor-corrector)."""
 
-    def step(self, f, z, t, t_next, h):
-        k1 = f(z, t)
-        return z + 0.5 * h * (k1 + f(z + h * k1, t_next))
+    def step(self, f, z, zc, t, t_next, h):
+        k1, kc1 = f(z, t, zc)
+        k2, kc2 = f(z + h * k1, t_next, _axpy(h, kc1, zc))
+        return (z + 0.5 * h * (k1 + k2),
+                None if zc is None else _axpy(0.5 * h, kc1 + kc2, zc))
 
 
 @dataclass(frozen=True)
@@ -156,14 +173,12 @@ class AdaptiveHeunSolver:
             raise ValueError(f"h_min = {self.h_min!r} exceeds the first adaptive step "
                              f"{h_first:.6g}, {rule}")
 
-    def run(self, config, f, z, t_min, rec):
+    def run(self, config, f, z, zc, t_min, rec):
         atol, rtol = self.atol, self.rtol
         t = config.t_s
         h_abs = self.first_step(t - t_min)
-        size = z.size
         steps = 0
-        k1 = f(z, t)
-        inv_scale = _inverse_error_scale(z, atol, rtol)
+        k1, kc1 = f(z, t, zc)
         while t - t_min > 1e-12:
             if steps >= self.max_steps:
                 raise MaxStepsExceededError(t, z, self.max_steps)
@@ -172,34 +187,16 @@ class AdaptiveHeunSolver:
             steps += 1
             h_abs = min(h_abs, t - t_min)
             h = -h_abs
-            half_h = 0.5 * h
-            # z + h k1, then k2 - k1, which gives both the Heun state
-            # z + h k1 + (h/2)(k2 - k1) and the error |h/2| rms((k2 - k1) / scale);
-            # each is built in place on its own fresh array: k1 is reused after
-            # a rejection and z is the accepted state, so neither is written.
-            z_euler = h * k1
-            z_euler += z
-            k2 = f(z_euler, t + h)
-            diff = k2 - k1
-            z_heun = diff * half_h
-            z_heun += z_euler
-            diff *= inv_scale
-            flat = diff.ravel(order="K")
-            err = abs(half_h) * math.sqrt(dot(flat, flat) / size)
+            err, z_heun, zc_heun = _heun_attempt(f, z, zc, k1, kc1, t, h, atol, rtol)
             if err <= 1.0:
                 t = t + h
                 if t - t_min <= 1e-12:
                     t = t_min
-                z = z_heun
+                z, zc = z_heun, zc_heun
                 rec.add(t, z)
                 if t - t_min > 1e-12:
-                    k1 = f(z, t)
-                    inv_scale = _inverse_error_scale(z, atol, rtol)
+                    k1, kc1 = f(z, t, zc)
             else:
-                # err is NaN or inf when a stage is; from finite stages it can
-                # still overflow to inf, and that stays a rejection.
-                if not math.isfinite(err):
-                    _check_stages(k1, k2, t, h)
                 rec.traj.rejected += 1
             if err == 0.0:
                 factor = 5.0
@@ -210,7 +207,7 @@ class AdaptiveHeunSolver:
                 elif factor < 0.2:
                     factor = 0.2
             h_abs = h_abs * factor
-        return z
+        return z, zc
 
 
 SolverKind = EulerSolver | HeunSolver | AdaptiveHeunSolver
@@ -330,9 +327,11 @@ def integrate(config: SamplerConfig, field: VectorFieldSpec, dec: DecoderSpec,
     # make_velocity checks y, so a mis-shaped or non-finite one fails here by name.
     velocity = make_velocity(config.guidance, field, dec, op, y)
     z = init_state(config, dec, op, y, rng)
+    # A wrapper of the velocity that does not forward `coeffs` steps without them.
+    coeffs = getattr(velocity, "coeffs", None)
     traj = Trajectory()
 
-    def f(state, t):
+    def f(state, t, state_coeffs):
         # Clamp t into the schedule's window, counting clamp events.
         traj.nfe += 1
         if t < t_min:
@@ -341,7 +340,9 @@ def integrate(config: SamplerConfig, field: VectorFieldSpec, dec: DecoderSpec,
         elif t > t_max:
             traj.clamp_events += 1
             t = t_max
-        return velocity(state, t)
+        if state_coeffs is None:
+            return velocity(state, t), None
+        return velocity(state, t, state_coeffs)
 
     residual_fn = None
     if record_residuals:
@@ -353,11 +354,63 @@ def integrate(config: SamplerConfig, field: VectorFieldSpec, dec: DecoderSpec,
     try:
         with np.errstate(over="ignore"):
             rec.add(config.t_s, z)
-            z = config.solver.run(config, f, z, t_min, rec)
+            # The start state's coefficients, when the route carries them, are
+            # the run's alone: they go once it has moved on.
+            z, _ = config.solver.run(config, f, z, None if coeffs is None else coeffs(z),
+                                     t_min, rec)
     except LflowError as exc:
         exc.trajectory = traj
         raise
     return z, traj
+
+
+def _heun_attempt(f, z, zc, k1, kc1, t: float, h: float, atol: float, rtol: float):
+    """One adaptive Heun attempt from the accepted state z at t with step h.
+
+    Returns the scaled error |h/2| rms((k2 - k1) / (atol + rtol |z|)) and,
+    when it is at most 1, the Heun state z + h k1 + (h/2)(k2 - k1) with its
+    coefficients (None for both otherwise). The Euler trial z + h k1 and
+    the difference k2 - k1, which gives both, are each built in place on
+    their own fresh array, and the Heun state on the difference's; the
+    coefficients take the same steps on the trial's coefficients. k1 and
+    kc1 are reused after a rejection and z and zc are the accepted state,
+    so none of them is written. The inverse scale is built after the
+    trial's evaluation, and the attempt's arrays die on return, before the
+    next evaluation allocates.
+    """
+    half_h = 0.5 * h
+    z_euler = h * k1
+    z_euler += z
+    zc_euler = _axpy(h, kc1, zc)
+    k2, kc2 = f(z_euler, t + h, zc_euler)
+    diff = k2 - k1
+    scaled = _inverse_error_scale(z, atol, rtol)
+    scaled *= diff
+    flat = scaled.ravel(order="K")
+    err = abs(half_h) * math.sqrt(dot(flat, flat) / z.size)
+    if not err <= 1.0:
+        # err is NaN or inf when a stage is; from finite stages it can
+        # still overflow to inf, and that stays a rejection.
+        if not math.isfinite(err):
+            _check_stages(k1, k2, t, h)
+        return err, None, None
+    diff *= half_h
+    diff += z_euler
+    if zc_euler is not None:
+        dkc = kc2 - kc1
+        dkc *= half_h
+        zc_euler += dkc
+    return err, diff, zc_euler
+
+
+def _axpy(a: float, x, y):
+    """a x + y on a fresh array, or None when y is: a run that carries no
+    coefficients has None for each."""
+    if y is None:
+        return None
+    out = np.multiply(x, a)
+    out += y
+    return out
 
 
 def _check_stages(k1, k2, t: float, h: float) -> None:

@@ -888,6 +888,8 @@ def test_fused_velocity_at_256_squared_matches_the_generic_path(op_kind, k_steps
     # in-place buffers meet numpy's own: the result must match the
     # pass-by-pass route, repeat bit for bit, and write neither z, y nor
     # the unconditional velocity (read-only here, as a field may cache it).
+    # The same holds for the carried form velocity(z, t, zc), whose
+    # coefficients must be those of its velocity and which writes no zc.
     shape = (256, 256)
     if op_kind == "circconv":
         op = CircConvOperator(build_gaussian_kernel(9, 1.5), shape)
@@ -905,12 +907,21 @@ def test_fused_velocity_at_256_squared_matches_the_generic_path(op_kind, k_steps
     z.flags.writeable = False
     spec = GuidanceSpec(sigma_y=0.01, k_steps=k_steps)
     velocity = make_velocity(spec, field, dec, op, y)
+    zc = _read_only(velocity.coeffs(z))
     for t in (0.2, 0.5, 0.8):
         want = corrected_velocity(spec, field, dec, op, y, z, t)
         got = velocity(z, t)
         err = float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
         assert err < 1e-12, (t, err)
         assert np.array_equal(velocity(z, t), got)
+        k, kc = velocity(z, t, zc)
+        err = float(np.max(np.abs(k - want))) / float(np.max(np.abs(want)))
+        assert err < 1e-12, (t, err)
+        kc_want = op.apply_coeffs(want)
+        err = float(np.max(np.abs(kc - kc_want))) / float(np.max(np.abs(kc_want)))
+        assert err < 1e-12, (t, err)
+        k_again, kc_again = velocity(z, t, zc)
+        assert np.array_equal(k_again, k) and np.array_equal(kc_again, kc)
 
 
 @pytest.mark.parametrize("k_steps", [1, 2])

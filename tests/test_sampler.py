@@ -9,12 +9,16 @@ the batch is distributionally identical to separate runs.
 """
 
 import csv
+import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import lflow.numerics
+import lflow.operators
 import lflow.sampler
-from lflow.decoders import IdentityDecoder, encode
+from lflow.decoders import DiagonalScaleDecoder, IdentityDecoder, encode, latent_operator
 from lflow.errors import (
     MaxStepsExceededError,
     NonFiniteError,
@@ -22,7 +26,7 @@ from lflow.errors import (
     StepUnderflowError,
 )
 from lflow.fields import AnalyticGaussianField, CallbackField, CovarianceMode
-from lflow.guidance import ConjugateGradientSolver, GuidanceSpec
+from lflow.guidance import ConjugateGradientSolver, GuidanceSpec, corrected_velocity
 from lflow.numerics import gaussian_vector, make_rng
 from lflow.operators import (
     CircConvOperator,
@@ -46,6 +50,7 @@ from lflow.sampler import (
     sample_posterior,
 )
 from lflow.schedule import PathSchedule
+from lflow.tasks import default_task_config, degrade, reconstruct, resolve_truth
 
 
 class PinnedRng:
@@ -283,33 +288,233 @@ def test_adaptive_run_is_pinned():
     )
 
 
-def test_adaptive_run_never_writes_its_stages_or_state(monkeypatch):
-    # Read-only velocities and a read-only start state: any in-place write
-    # to k1, k2 or an accepted state raises. The run must still take its
-    # rejection and land on the bits of an unguarded run.
-    field, dec, op, y = small_problem()
+def _read_only(arr):
+    arr = np.asarray(arr)
+    arr.flags.writeable = False
+    return arr
+
+
+def _conv_problem():
+    # A circular convolution, whose closed-form runs carry the coefficients.
+    op = CircConvOperator(build_gaussian_kernel(3, 1.0), (8, 8))
+    y = make_rng(105).normal(size=op.output_shape)
+    return AnalyticGaussianField(sigma_latr=1.0), IdentityDecoder(op.input_shape), op, y
+
+
+@pytest.mark.parametrize("problem", ["dense", "circconv"])
+def test_adaptive_run_never_writes_its_stages_or_state(problem, monkeypatch):
+    # Read-only velocities, coefficients and start state: any in-place write
+    # to k1, k2, their coefficients, an accepted state or its coefficients
+    # raises. The run must still take its rejection and land on the bits of
+    # an unguarded run. The dense run carries no coefficients, the
+    # convolution's does.
+    field, dec, op, y = small_problem() if problem == "dense" else _conv_problem()
     config = SamplerConfig(guidance=GuidanceSpec(sigma_y=0.1))
     z_free, traj_free = integrate(config, field, dec, op, y, make_rng(5))
     real_make_velocity = lflow.sampler.make_velocity
     real_init_state = lflow.sampler.init_state
-
-    def read_only(arr):
-        arr = np.asarray(arr)
-        arr.flags.writeable = False
-        return arr
+    carried = []
 
     def frozen_make_velocity(*args):
         velocity = real_make_velocity(*args)
-        return lambda z, t: read_only(velocity(z, t))
+
+        def frozen(z, t, zc=None):
+            if zc is None:
+                return _read_only(velocity(z, t))
+            carried.append(t)
+            return tuple(map(_read_only, velocity(z, t, zc)))
+
+        frozen.coeffs = (None if velocity.coeffs is None
+                         else lambda z: _read_only(velocity.coeffs(z)))
+        return frozen
 
     monkeypatch.setattr(lflow.sampler, "make_velocity", frozen_make_velocity)
     monkeypatch.setattr(lflow.sampler, "init_state",
-                        lambda *args: read_only(real_init_state(*args)))
+                        lambda *args: _read_only(real_init_state(*args)))
     z, traj = integrate(config, field, dec, op, y, make_rng(5))
     assert traj.rejected >= 1
+    assert len(carried) == (traj.nfe if problem == "circconv" else 0)
     assert (traj.nfe, traj.accepted, traj.rejected) == (
         traj_free.nfe, traj_free.accepted, traj_free.rejected)
     np.testing.assert_array_equal(z, z_free)
+
+
+def _carry_operator(kind):
+    shape = (12, 12)
+    if kind == "circconv":
+        return CircConvOperator(build_gaussian_kernel(3, 1.0), shape)
+    if kind.startswith("convdown"):
+        factor = int(kind[-1])
+        return ConvDownsampleOperator(build_bicubic_kernel(factor), shape, factor)
+    if kind == "mask":
+        mask = np.ones(shape)
+        mask[3:8, 4:10] = 0.0
+        return MaskOperator(mask)
+    return DenseOperator(make_rng(70).normal(size=(20, 144)) / 12.0, input_shape=shape)
+
+
+@pytest.mark.parametrize("field_kind", ["analytic", "callback"])
+@pytest.mark.parametrize("stepper", ["adaptive-heun", "heun", "euler"])
+@pytest.mark.parametrize("scale", [1.0, 0.7])
+@pytest.mark.parametrize("kind", ["circconv", "convdown2", "convdown3", "mask", "dense"])
+def test_a_carried_run_steps_like_the_stateless_reference(kind, scale, stepper,
+                                                          field_kind, monkeypatch):
+    # Against a run whose every NFE is corrected_velocity, pass by pass and
+    # from the state alone: the same counts, endpoints within 1e-12, and,
+    # where the run carries B_hat z, a final carried B_hat z within 1e-12 of
+    # B_hat z itself, so the carried coefficients do not drift from the state.
+    op = _carry_operator(kind)
+    dec = DiagonalScaleDecoder(scale, op.input_shape)
+    b = latent_operator(op, dec)
+    field = AnalyticGaussianField(sigma_latr=0.8)
+    if field_kind == "callback":
+        field = CallbackField(lambda z, t, s=field.scalar: s(t) * z + 0.1 * np.sin(z),
+                              surrogate_sigma_latr=0.8)
+    y = 0.5 * make_rng(71).normal(size=op.output_shape)
+    solver = {"adaptive-heun": AdaptiveHeunSolver(atol=1e-4, rtol=1e-4),
+              "heun": HeunSolver(steps=12), "euler": EulerSolver(steps=12)}[stepper]
+    ends = []
+    real_run = type(solver).run
+
+    def recording_run(self, *args):
+        ends.append(real_run(self, *args))
+        return ends[-1]
+
+    monkeypatch.setattr(type(solver), "run", recording_run)
+    for k_steps in (1, 2, 3):
+        spec = GuidanceSpec(sigma_y=0.05, k_steps=k_steps)
+        config = SamplerConfig(solver=solver, guidance=spec, seed=3)
+        z, traj = sample_posterior(config, field, dec, op, y)
+        z_end, zc_end = ends[-1]
+        with monkeypatch.context() as m:
+            m.setattr(lflow.sampler, "make_velocity",
+                      lambda *args: lambda z, t: corrected_velocity(*args, z, t))
+            z_ref, traj_ref = sample_posterior(config, field, dec, op, y)
+        assert ends[-1][1] is None  # the reference carried nothing
+        assert (traj.nfe, traj.accepted, traj.rejected) == (
+            traj_ref.nfe, traj_ref.accepted, traj_ref.rejected), k_steps
+        err = float(np.max(np.abs(z - z_ref))) / float(np.max(np.abs(z_ref)))
+        assert err < 1e-12, (k_steps, err)
+        if kind in ("mask", "dense"):
+            assert zc_end is None
+            continue
+        want = b.apply_coeffs(z_end)
+        drift = float(np.max(np.abs(zc_end - want))) / float(np.max(np.abs(want)))
+        assert drift < 1e-12, (k_steps, drift)
+
+
+def _transform_events(monkeypatch):
+    """Log each private transform ("fwd", "inv") and each velocity call
+    ("nfe") of the runs that follow, in order. The checked forward goes
+    through the private one, so the measurement's transform is logged too."""
+    events = []
+    for module in (lflow.numerics, lflow.operators):
+        for name, tag in (("_rdft2", "fwd"), ("_irdft2", "inv")):
+            real = getattr(module, name)
+
+            def logged(*args, _real=real, _tag=tag):
+                events.append(_tag)
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, logged)
+    real_make_velocity = lflow.sampler.make_velocity
+
+    def logging_make_velocity(*args):
+        velocity = real_make_velocity(*args)
+
+        @functools.wraps(velocity)
+        def logged(*call_args):
+            events.append("nfe")
+            return velocity(*call_args)
+        return logged
+
+    monkeypatch.setattr(lflow.sampler, "make_velocity", logging_make_velocity)
+    return events
+
+
+def _per_nfe(events):
+    """The events before the first evaluation, and those of each evaluation."""
+    start, *evaluations = " ".join(events).split("nfe")
+    return start.split(), [e.split() for e in evaluations]
+
+
+@pytest.mark.parametrize("field_kind", ["analytic", "callback"])
+@pytest.mark.parametrize("task", ["gaussian-deblur", "super-resolution"])
+def test_a_closed_form_convolution_run_transforms_forward_only_at_its_start(
+        task, field_kind, monkeypatch):
+    # The run carries B_hat z: with the Gaussian field an NFE is one inverse
+    # transform and no forward one, and the forwards (the measurement's and
+    # the start state's; super-resolution also lifts y through the adjoint)
+    # come before the first NFE. A callback field pays one forward per NFE
+    # for its velocity's coefficients.
+    cfg = default_task_config(task, size=64, seed=0)
+    op, _ = cfg.build_operator()
+    y = degrade(cfg) - 0.5
+    field = cfg.field
+    if field_kind == "callback":
+        field = CallbackField(lambda z, t, s=field.scalar: s(t) * z,
+                              surrogate_sigma_latr=field.sigma_latr)
+    events = _transform_events(monkeypatch)
+    _, traj = sample_posterior(cfg.sampler, field, cfg.decoder, op, y)
+    start, evaluations = _per_nfe(events)
+    lift = ["fwd", "inv"] if task == "super-resolution" else []
+    assert start == ["fwd"] + lift + ["fwd"]
+    per_nfe = ["inv"] if field_kind == "analytic" else ["fwd", "inv"]
+    assert len(evaluations) == traj.nfe > 100
+    assert all(e == per_nfe for e in evaluations)
+
+
+@pytest.mark.parametrize("kind", ["mask", "dense"])
+def test_mask_and_dense_runs_step_the_state_alone(kind, monkeypatch):
+    # No coefficients are carried: each NFE is the stateless velocity(z, t),
+    # one apply_coeffs and one adjoint_coeffs.
+    op = _carry_operator(kind)
+    field, dec = AnalyticGaussianField(sigma_latr=0.8), IdentityDecoder(op.input_shape)
+    y = 0.5 * make_rng(72).normal(size=op.output_shape)
+    calls = []
+    for member in ("apply_coeffs", "adjoint_coeffs"):
+        real = getattr(type(op), member)
+
+        def counted(self, arg, _real=real, _member=member):
+            calls.append(_member)
+            return _real(self, arg)
+
+        monkeypatch.setattr(type(op), member, counted)
+    arities = []
+    real_make_velocity = lflow.sampler.make_velocity
+
+    def recording_make_velocity(*args):
+        velocity = real_make_velocity(*args)
+        assert velocity.coeffs is None
+
+        def recorded(*call_args):
+            arities.append(len(call_args))
+            return velocity(*call_args)
+        return recorded
+
+    monkeypatch.setattr(lflow.sampler, "make_velocity", recording_make_velocity)
+    config = SamplerConfig(guidance=GuidanceSpec(sigma_y=0.05), seed=2)
+    _, traj = sample_posterior(config, field, dec, op, y)
+    assert arities == [2] * traj.nfe
+    assert calls == ["apply_coeffs", "adjoint_coeffs"] * traj.nfe
+
+
+def test_a_256_squared_deblur_run_stays_within_its_memory_guard():
+    # Carrying B_hat z costs a half-spectrum per carried array; the stepper
+    # releases each attempt's stages before the next evaluation, so the
+    # run's tracemalloc peak stays at or below 7.8 MiB, what it was before
+    # the coefficients were carried.
+    cfg = default_task_config("gaussian-deblur", size=256, seed=1)
+    x_true = resolve_truth(cfg)
+    y = degrade(cfg, x_true)
+    tracemalloc.start()
+    try:
+        _, report = reconstruct(cfg, y, x_true=x_true)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.status == "ok"
+    assert peak <= 7.8 * 2**20, peak / 2**20
 
 
 def test_adaptive_evaluation_accounting():
