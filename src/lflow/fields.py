@@ -22,11 +22,18 @@ comes from a CovarianceMode evaluated at the field's surrogate sigma, since
 nothing here differentiates a black box. Every mode takes the field: lflow
 reads its sigma, and the other three ignore it. Both field kinds expose
 `velocity(z, t)` and `sigma_latr` (a callback field's is its surrogate).
-Each also gives `velocity_and_coeffs(z, zc, t, apply_coeffs)`: v(z, t)
-together with its coefficients in a measurement operator's basis, given
+
+Each field also owns its denoised mean, the one formula that guidance,
+`posterior_mean` and the sampler's final step all read:
+`velocity_and_mean(z, t)` returns v(z, t) with z_bar = z - t v(z, t), and
+`velocity_and_coeffs(z, zc, t, apply_coeffs)` returns v(z, t), its
+coefficients in a measurement operator's basis and those of z_bar, given
 the coefficients zc = apply_coeffs(z) of the state. The Gaussian field's
-velocity is s(t) z, so its coefficients are s(t) zc with no transform; a
-callback field's cost one `apply_coeffs(v)`.
+velocity is s(t) z, so z_bar = (1 - t s(t)) z and the coefficients are
+s(t) zc and (1 - t s(t)) zc: one multiply each, and no transform. A
+callback field forms z - t v, and its coefficients cost one
+`apply_coeffs(v)`. Every returned array is fresh, so a caller may write
+it in place; neither member writes z or zc.
 """
 
 from __future__ import annotations
@@ -63,11 +70,17 @@ class AnalyticGaussianField:
     def velocity(self, z: RealField, t: float) -> RealField:
         return self.scalar(t) * np.asarray(z, dtype=np.float64)
 
-    def velocity_and_coeffs(self, z: RealField, zc: np.ndarray, t: float, apply_coeffs):
-        """v(z, t) and its coefficients s(t) zc, from the coefficients zc of z:
-        the field is linear, so no transform. Both are fresh arrays."""
+    def velocity_and_mean(self, z: RealField, t: float):
+        """v(z, t) = s(t) z and z_bar = (1 - t s(t)) z, one multiply each."""
         s = self.scalar(t)
-        return np.multiply(z, s), np.multiply(zc, s)
+        return np.multiply(z, s), np.multiply(z, 1.0 - t * s)
+
+    def velocity_and_coeffs(self, z: RealField, zc: np.ndarray, t: float, apply_coeffs):
+        """v(z, t) with the coefficients s(t) zc of v and (1 - t s(t)) zc of
+        z_bar, from the coefficients zc of z: the field is linear, so no
+        transform."""
+        s = self.scalar(t)
+        return np.multiply(z, s), np.multiply(zc, s), np.multiply(zc, 1.0 - t * s)
 
 
 @dataclass(frozen=True)
@@ -86,11 +99,22 @@ class CallbackField:
     def velocity(self, z: RealField, t: float) -> RealField:
         return np.asarray(self.fn(z, t), dtype=np.float64)
 
-    def velocity_and_coeffs(self, z: RealField, zc: np.ndarray, t: float, apply_coeffs):
-        """v(z, t) and its coefficients apply_coeffs(v), one transform; the
-        coefficients are a fresh array, and v is never written."""
+    def velocity_and_mean(self, z: RealField, t: float):
+        """v(z, t) and z_bar = z - t v, built as (-t) v + z on a fresh array
+        (the same bits); v is never written."""
         v = self.velocity(z, t)
-        return v, apply_coeffs(v)
+        zbar = np.multiply(v, -t)
+        zbar += z
+        return v, zbar
+
+    def velocity_and_coeffs(self, z: RealField, zc: np.ndarray, t: float, apply_coeffs):
+        """v(z, t), its coefficients vc = apply_coeffs(v) (one transform) and
+        zc - t vc, those of z_bar; v is never written."""
+        v = self.velocity(z, t)
+        vc = apply_coeffs(v)
+        zbar_c = np.multiply(vc, -t)
+        zbar_c += zc
+        return v, vc, zbar_c
 
     @property
     def sigma_latr(self) -> float:
@@ -106,8 +130,8 @@ def eval_field(field: VectorFieldSpec, z: RealField, t: float) -> RealField:
 
 
 def posterior_mean(field: VectorFieldSpec, z: RealField, t: float) -> RealField:
-    """Denoised mean E[z0 | z_t] = z - t v(z, t)."""
-    return np.asarray(z, dtype=np.float64) - t * eval_field(field, z, t)
+    """Denoised mean E[z0 | z_t] = z - t v(z, t), by the field's own formula."""
+    return field.velocity_and_mean(np.asarray(z, dtype=np.float64), t)[1]
 
 
 def mean_jacobian_fn(field: VectorFieldSpec) -> Callable[[float], float]:

@@ -137,24 +137,25 @@ class ClosedFormSolver:
         real array per evaluation (a scalar for the mask's lambda = 1), applied
         by one real-by-complex product on the residual coefficients.
 
-        `velocity(z, t)` forms B_hat z_bar = apply_coeffs(z - t v_u): one
-        forward and one inverse transform for any K. `velocity(z, t, zc)`
+        The field supplies v_u and the denoised mean z_bar by its own formula
+        (`velocity_and_mean`; for the Gaussian field z_bar = (1 - t s) z, one
+        multiply), and `velocity(z, t)` forms B_hat z_bar = apply_coeffs(z_bar):
+        one forward and one inverse transform for any K. `velocity(z, t, zc)`
         takes the coefficients zc = B_hat z of the state instead and returns
-        (k, B_hat k): B_hat z_bar = zc - t B_hat v_u with B_hat v_u from the
-        field's `velocity_and_coeffs`, and B_hat k = B_hat v_u - lambda r
-        with r = gain (y_hat - B_hat z_bar), since B_hat B^T acts as lambda.
-        With the Gaussian field that is one inverse transform and no forward
-        one. The closure's `coeffs` is apply_coeffs
-        when B says a run should carry zc (`carry_coeffs`, the convolution
-        class: there B_hat z is a transform of the whole grid), else None.
+        (k, B_hat k): the field's `velocity_and_coeffs` gives B_hat v_u and
+        B_hat z_bar from zc, and B_hat k = B_hat v_u - lambda r with
+        r = gain (y_hat - B_hat z_bar), since B_hat B^T acts as lambda. With
+        the Gaussian field that is one inverse transform and no forward one.
+        The closure's `coeffs` is apply_coeffs when B says a run should carry
+        zc (`carry_coeffs`, the convolution class: there B_hat z is a
+        transform of the whole grid), else None.
 
         Buffer discipline: the residual and the final differences are formed
         in place on fresh arrays (apply_coeffs's, adjoint_coeffs's and the
-        field's coefficients); z, zc and v_u are never written. z_bar =
-        z - t v_u is built as (-t) v_u + z on one fresh array, which gives the
-        same bits. The gain depends on t alone, so the closure keeps the last
-        (t, gain) and reuses it when Heun re-evaluates at its previous
-        stage's time; the kept array is never written.
+        field's coefficients); z, zc and v_u are never written. The gain
+        depends on t alone, so the closure keeps the last (t, gain) and
+        reuses it when Heun re-evaluates at its previous stage's time; the
+        kept array is never written.
         """
         passes = spec.k_steps
         sy2 = spec.sigma_y * spec.sigma_y
@@ -163,7 +164,7 @@ class ClosedFormSolver:
         apply_coeffs = b.apply_coeffs
         adjoint_coeffs = b.adjoint_coeffs
         # The field and the covariance mode are fixed for the run.
-        field_velocity = field.velocity
+        field_mean = field.velocity_and_mean
         field_coeffs = field.velocity_and_coeffs
         mean_jacobian = mean_jacobian_fn(field)
         cov = posterior_cov_fn(spec.cov_mode, field)
@@ -192,14 +193,10 @@ class ClosedFormSolver:
             # w = B_hat z_bar, then r = gain (y_hat - w) in place on it, then
             # v_u minus its adjoint, in place on the adjoint's output.
             if zc is None:
-                v_uncond = field_velocity(z, t)
-                zbar = np.multiply(v_uncond, -t)
-                zbar += z
+                v_uncond, zbar = field_mean(z, t)
                 w = apply_coeffs(zbar)
             else:
-                v_uncond, vc = field_coeffs(z, zc, t, apply_coeffs)
-                w = np.multiply(vc, -t)
-                w += zc
+                v_uncond, vc, w = field_coeffs(z, zc, t, apply_coeffs)
             np.subtract(y_hat, w, out=w)
             w *= gain_at(t)
             u = adjoint_coeffs(w)

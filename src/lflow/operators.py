@@ -319,7 +319,8 @@ class DenseOperator:
     unless an output shape is given.
 
     Its basis is the eigenvectors Q of A A^T, cached on first use together
-    with Q^T A and A^T Q.
+    with Q^T A and A^T Q. `apply_coeffs` takes a float64 array, a run's
+    state, as it is: an evaluation does not re-wrap it.
     """
 
     kind = "dense"
@@ -361,7 +362,7 @@ class DenseOperator:
         return self._basis[1] @ as_field(y).ravel()
 
     def apply_coeffs(self, x) -> np.ndarray:
-        return self._basis[2] @ as_field(x).ravel()
+        return self._basis[2] @ x.ravel()
 
     def adjoint_coeffs(self, w) -> np.ndarray:
         return (self._basis[3] @ w).reshape(self.input_shape)

@@ -32,15 +32,16 @@ a fixed grid takes any span, and the adaptive solver rejects an h_min
 above its first step, where a run would underflow at once.
 
 Finiteness: a run never silently returns garbage. Every accepted state
-is checked through the dot product the recorder takes for its state
-norm anyway; only when that is not finite does an elementwise scan tell
-a NaN or Inf entry (NonFiniteError) from a finite state whose squared
-norm overflows (recorded as an infinite norm). In the adaptive stepper a
-non-finite error estimate whose stages hold a non-finite entry is a
-NonFiniteError naming the stage's time, not a rejection; a finite stage
-pair whose error estimate overflows stays a rejection. Since both
-overflows are handled, the stepping loop runs under one
-np.errstate(over="ignore") per run, not one per dot product.
+is checked through the dot product of the state with itself, which is
+the traced run's state norm; only when that is not finite does an
+elementwise scan tell a NaN or Inf entry (NonFiniteError) from a finite
+state whose squared norm overflows (the run goes on, and a trace records
+an infinite norm). In the adaptive stepper a non-finite error estimate
+whose stages hold a non-finite entry is a NonFiniteError naming the
+stage's time, not a rejection; a finite stage pair whose error estimate
+overflows stays a rejection. Since both overflows are handled, the
+stepping loop runs under one np.errstate(over="ignore") per run, not one
+per dot product.
 
 The adaptive loop forms each attempt in `_heun_attempt`. From the one
 difference k2 - k1 of an attempt it forms the Heun state z_euler +
@@ -55,6 +56,13 @@ arrays die when it returns, so an evaluation runs beside the accepted
 state, its first stage and the Euler trial alone (with their
 coefficients), and the start state's coefficients are not kept once the
 run has moved on.
+
+Trace: every run counts its evaluations, accepted and rejected steps and
+clamp events, and keeps its last accepted time (`Trajectory.t_last`).
+The per-point lists (times, cumulative NFE, state and residual norms)
+are filled only when the caller asks for a trace (`record_trace`, which
+`lflow sample --trajectory` sets); an untraced run appends nothing per
+step.
 
 Failures raise MaxStepsExceededError or StepUnderflowError, both
 carrying the last good state; any error raised mid-run also carries the
@@ -119,7 +127,7 @@ class EulerSolver(_FixedStepSolver):
 
     def step(self, f, z, zc, t, t_next, h):
         k, kc = f(z, t, zc)
-        return z + h * k, _axpy(h, kc, zc)
+        return z + h * k, None if zc is None else _axpy(h, kc, zc)
 
 
 @dataclass(frozen=True)
@@ -128,7 +136,7 @@ class HeunSolver(_FixedStepSolver):
 
     def step(self, f, z, zc, t, t_next, h):
         k1, kc1 = f(z, t, zc)
-        k2, kc2 = f(z + h * k1, t_next, _axpy(h, kc1, zc))
+        k2, kc2 = f(z + h * k1, t_next, None if zc is None else _axpy(h, kc1, zc))
         return (z + 0.5 * h * (k1 + k2),
                 None if zc is None else _axpy(0.5 * h, kc1 + kc2, zc))
 
@@ -175,6 +183,7 @@ class AdaptiveHeunSolver:
 
     def run(self, config, f, z, zc, t_min, rec):
         atol, rtol = self.atol, self.rtol
+        traj = rec.traj
         t = config.t_s
         h_abs = self.first_step(t - t_min)
         steps = 0
@@ -197,7 +206,7 @@ class AdaptiveHeunSolver:
                 if t - t_min > 1e-12:
                     k1, kc1 = f(z, t, zc)
             else:
-                rec.traj.rejected += 1
+                traj.rejected += 1
             if err == 0.0:
                 factor = 5.0
             else:
@@ -235,12 +244,14 @@ class SamplerConfig:
 
 @dataclass
 class Trajectory:
-    """Per-run record: accepted times plus evaluation accounting.
+    """Per-run record: evaluation accounting plus, on request, the trace.
 
-    The parallel lists times / nfe_cumulative / state_norms (and
-    residual_norms, when their recording was requested) hold one entry
-    per accepted point, starting at t_s. nfe counts every
-    velocity evaluation including rejected attempts.
+    Every run fills the counters: nfe counts every velocity evaluation
+    including rejected attempts, accepted and rejected count steps, and
+    t_last is the time of the last accepted point (t_s before the first
+    step). When the run was asked for a trace, the parallel lists
+    times / nfe_cumulative / state_norms / residual_norms hold one entry
+    per accepted point, starting at t_s; otherwise they stay empty.
     """
 
     times: list = dataclass_field(default_factory=list)
@@ -251,6 +262,7 @@ class Trajectory:
     clamp_events: int = 0
     accepted: int = 0
     rejected: int = 0
+    t_last: float = math.nan
 
     def to_csv(self, path) -> None:
         """Dump the accepted points as CSV (t, nfe_cumulative, state_norm,
@@ -285,41 +297,54 @@ def init_state(config: SamplerConfig, dec: DecoderSpec, op: LinearOperatorDescri
 
 
 class _Recorder:
-    """Accumulates the trajectory during a run."""
+    """Checks and counts the accepted points of a run, tracing none."""
 
-    def __init__(self, traj: Trajectory, residual_fn):
+    def __init__(self, traj: Trajectory):
         self.traj = traj
-        self.residual_fn = residual_fn
 
-    def add(self, t: float, z: np.ndarray) -> None:
-        """Record the point (t, z); every point after the start is an
-        accepted step.
+    def add(self, t: float, z: np.ndarray, step: int = 1) -> float:
+        """Check the point (t, z) and count it: step is 1 for an accepted
+        step and 0 for the start state. Returns z's squared norm.
 
-        The dot product behind the state norm is also the finiteness
-        check: it is finite whenever z is. Only a non-finite norm costs
-        an elementwise scan, which tells a NaN or Inf entry (raise) from
-        a finite state whose squared norm overflows (record inf).
+        The dot product of z with itself is the finiteness check: it is
+        finite whenever z is. Only a non-finite one costs an elementwise
+        scan, which tells a NaN or Inf entry (raise) from a finite state
+        whose squared norm overflows (go on).
         """
-        flat = z.ravel(order="K")
-        sq = dot(flat, flat)
+        sq = dot(z, z)
         if not math.isfinite(sq) and not np.isfinite(z).all():
             raise NonFiniteError(f"state became non-finite at t={t:.6g}")
         traj = self.traj
-        traj.accepted = len(traj.times)
+        traj.accepted += step
+        traj.t_last = t
+        return sq
+
+
+class _TraceRecorder(_Recorder):
+    """A `_Recorder` that also appends each point to the trajectory's lists."""
+
+    def __init__(self, traj: Trajectory, residual_fn):
+        super().__init__(traj)
+        self.residual_fn = residual_fn
+
+    def add(self, t: float, z: np.ndarray, step: int = 1) -> float:
+        sq = super().add(t, z, step)
+        traj = self.traj
         traj.times.append(float(t))
         traj.nfe_cumulative.append(traj.nfe)
         traj.state_norms.append(math.sqrt(sq))
-        if self.residual_fn is not None:
-            traj.residual_norms.append(self.residual_fn(z, t))
+        traj.residual_norms.append(self.residual_fn(z, t))
+        return sq
 
 
 def integrate(config: SamplerConfig, field: VectorFieldSpec, dec: DecoderSpec,
               op: LinearOperatorDescriptor, y, rng: SeededRng,
-              record_residuals: bool = False) -> tuple[RealField, Trajectory]:
+              record_trace: bool = False) -> tuple[RealField, Trajectory]:
     """Run the reverse ODE from t_s down to t_min.
 
     Returns the endpoint state (still at t_min; apply final_denoise to
-    close the gap to zero) and the trajectory record.
+    close the gap to zero) and the trajectory record, whose per-point
+    lists are filled only when record_trace is true.
     """
     y = as_field(y)
     schedule = config.schedule
@@ -344,16 +369,17 @@ def integrate(config: SamplerConfig, field: VectorFieldSpec, dec: DecoderSpec,
             return velocity(state, t), None
         return velocity(state, t, state_coeffs)
 
-    residual_fn = None
-    if record_residuals:
+    if record_trace:
         def residual_fn(state, t):
             r = y - op.apply(decode(dec, posterior_mean(field, state, t)))
             return math.sqrt(dot(r, r))
 
-    rec = _Recorder(traj, residual_fn)
+        rec = _TraceRecorder(traj, residual_fn)
+    else:
+        rec = _Recorder(traj)
     try:
         with np.errstate(over="ignore"):
-            rec.add(config.t_s, z)
+            rec.add(config.t_s, z, step=0)
             # The start state's coefficients, when the route carries them, are
             # the run's alone: they go once it has moved on.
             z, _ = config.solver.run(config, f, z, None if coeffs is None else coeffs(z),
@@ -372,22 +398,21 @@ def _heun_attempt(f, z, zc, k1, kc1, t: float, h: float, atol: float, rtol: floa
     coefficients (None for both otherwise). The Euler trial z + h k1 and
     the difference k2 - k1, which gives both, are each built in place on
     their own fresh array, and the Heun state on the difference's; the
-    coefficients take the same steps on the trial's coefficients. k1 and
-    kc1 are reused after a rejection and z and zc are the accepted state,
-    so none of them is written. The inverse scale is built after the
-    trial's evaluation, and the attempt's arrays die on return, before the
-    next evaluation allocates.
+    coefficients take the same steps on the trial's coefficients, where
+    the run carries them. k1 and kc1 are reused after a rejection and z
+    and zc are the accepted state, so none of them is written. The inverse
+    scale is built after the trial's evaluation, and the attempt's arrays
+    die on return, before the next evaluation allocates.
     """
     half_h = 0.5 * h
     z_euler = h * k1
     z_euler += z
-    zc_euler = _axpy(h, kc1, zc)
+    zc_euler = None if zc is None else _axpy(h, kc1, zc)
     k2, kc2 = f(z_euler, t + h, zc_euler)
     diff = k2 - k1
     scaled = _inverse_error_scale(z, atol, rtol)
     scaled *= diff
-    flat = scaled.ravel(order="K")
-    err = abs(half_h) * math.sqrt(dot(flat, flat) / z.size)
+    err = abs(half_h) * math.sqrt(dot(scaled, scaled) / z.size)
     if not err <= 1.0:
         # err is NaN or inf when a stage is; from finite stages it can
         # still overflow to inf, and that stays a rejection.
@@ -404,10 +429,7 @@ def _heun_attempt(f, z, zc, k1, kc1, t: float, h: float, atol: float, rtol: floa
 
 
 def _axpy(a: float, x, y):
-    """a x + y on a fresh array, or None when y is: a run that carries no
-    coefficients has None for each."""
-    if y is None:
-        return None
+    """a x + y on a fresh array."""
     out = np.multiply(x, a)
     out += y
     return out
@@ -430,7 +452,8 @@ def _inverse_error_scale(z, atol: float, rtol: float) -> np.ndarray:
 
 
 def final_denoise(field: VectorFieldSpec, z, t_min: float) -> RealField:
-    """One denoising step from t_min to 0: the conditional mean E[z0 | z]."""
+    """One denoising step from t_min to 0: the conditional mean E[z0 | z],
+    by the field's own formula (`posterior_mean`)."""
     return posterior_mean(field, z, t_min)
 
 
@@ -449,13 +472,12 @@ def inpaint_splice(mask, y_zero_filled, decoded) -> RealField:
 
 def sample_posterior(config: SamplerConfig, field: VectorFieldSpec, dec: DecoderSpec,
                      op: LinearOperatorDescriptor, y,
-                     record_residuals: bool = False) -> tuple[RealField, Trajectory]:
+                     record_trace: bool = False) -> tuple[RealField, Trajectory]:
     """Full run from the config's own seed: integrate, then denoise to 0.
 
     Returns the latent reconstruction (decode it for pixels) and the
-    trajectory.
+    trajectory, traced when record_trace is true.
     """
     rng = make_rng(config.seed)
-    z, traj = integrate(config, field, dec, op, y, rng,
-                        record_residuals=record_residuals)
+    z, traj = integrate(config, field, dec, op, y, rng, record_trace=record_trace)
     return final_denoise(field, z, config.schedule.t_min), traj

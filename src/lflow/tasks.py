@@ -79,8 +79,10 @@ class TaskConfig:
 
     Construction is the only validation stage, for files, CLI flags and
     library code alike: a value no run could use raises ValueError naming
-    its `[section] key`, and the singular-system conflict (sigma_y = 0
-    with cov_mode = zero) raises ConfigError.
+    its `[section] key`, and a singular measurement system raises
+    ConfigError: sigma_y = 0 with cov_mode = zero, or with an operator
+    whose A A^T has an exact zero eigenvalue (only a config whose sigma_y
+    squares to 0 builds its operator to check that).
     The field, decoder and sampler it builds to check are kept as `field`,
     `decoder` and `sampler` (the guidance is `sampler.guidance`).
     """
@@ -163,11 +165,22 @@ class TaskConfig:
             if not ok:
                 raise ValueError(f"{_CONFIG_KEY[attr]}: must be {rule}, "
                                  f"got {getattr(self, attr)!r}")
-        if self.sigma_y * self.sigma_y == 0.0 and self.cov_mode == "zero":
-            raise ConfigError(f"{_CONFIG_KEY['sigma_y']} = 0 with {_CONFIG_KEY['cov_mode']} "
-                              f"= zero makes the measurement system S = sigma_y^2 I "
-                              f"+ r2 A A^T singular (r2 = 0 in zero mode, and "
-                              f"sigma_y^2 = 0 at sigma_y = {self.sigma_y!r})")
+        if self.sigma_y * self.sigma_y == 0.0:
+            if self.cov_mode == "zero":
+                raise ConfigError(f"{_CONFIG_KEY['sigma_y']} = 0 with "
+                                  f"{_CONFIG_KEY['cov_mode']} = zero makes the measurement "
+                                  f"system S = sigma_y^2 I + r2 A A^T singular (r2 = 0 in "
+                                  f"zero mode, and sigma_y^2 = 0 at sigma_y = {self.sigma_y!r})")
+            # Only a noiseless config builds its operator here: S = r2 A A^T is
+            # then singular wherever A A^T has an exact zero eigenvalue.
+            lam = self.build_operator()[0].gram_eigenvalues
+            zeros = np.count_nonzero(lam == 0.0)
+            if zeros:
+                raise ConfigError(f"{_CONFIG_KEY['sigma_y']} = 0 makes the measurement system "
+                                  f"S = sigma_y^2 I + r2 A A^T singular: {zeros} of the "
+                                  f"{np.size(lam)} eigenvalues of A A^T for this "
+                                  f"{_CONFIG_KEY['kind']} = {self.kind} operator are exactly "
+                                  f"0 (sigma_y^2 = 0 at sigma_y = {self.sigma_y!r})")
         # The runtime objects, kept for the run, check the rest under their own
         # names (the decoder's only rejectable value is its scale; the rules
         # above cover the guidance's and the operator's inputs).
@@ -373,7 +386,7 @@ def reconstruct(cfg: TaskConfig, y, x_true=None,
     try:
         z_hat, traj = sample_posterior(
             cfg.sampler, cfg.field, cfg.decoder, op, y - 0.5,
-            record_residuals=trajectory_path is not None,
+            record_trace=trajectory_path is not None,
         )
         x_hat = np.clip(decode(cfg.decoder, z_hat) + 0.5, 0.0, 1.0)
         if mask is not None:

@@ -290,6 +290,8 @@ def test_unknown_config_key_exits_with_a_usage_error(tmp_path, capsys):
      "[task] sigma_y = 0 with [guidance] cov_mode = zero"),
     ("[task]\nkind = gaussian-deblur\nsigma_y = 1e-200\n[guidance]\ncov_mode = zero\n",
      "[task] sigma_y = 0 with [guidance] cov_mode = zero"),
+    ("[task]\nkind = motion-deblur\nkernel_length = 8\nsigma_y = 0.0\n",
+     "[task] sigma_y = 0 makes the measurement system"),
     ("[prior]\ndecoder_kind = scale\ndecoder_scale = nan\n", "[prior] decoder_scale"),
     ("[prior]\ndecoder_kind = scale\ndecoder_scale = inf\n", "[prior] decoder_scale"),
     ("[prior]\ndecoder_kind = scale\ndecoder_scale = 0\n", "[prior] decoder_scale"),
@@ -318,7 +320,7 @@ def test_unknown_config_key_exits_with_a_usage_error(tmp_path, capsys):
 ], ids=["k_steps", "k_steps_literal", "box_size", "cov_mode", "box_size_key",
         "gaussian_kernel_size", "motion_kernel_size", "sr_factor", "sr_kernel_too_big",
         "kernel_length", "singular_system", "singular_system_inpaint_square",
-        "singular_system_deblur_square", "scale_nan", "scale_inf", "scale_zero",
+        "singular_system_deblur_square", "singular_gram_motion", "scale_nan", "scale_inf", "scale_zero",
         "sigma_latr_nan", "sigma_y_nan", "sigma_latr_zero", "sigma_latr_negative",
         "sigma_latr_square_overflow", "sigma_latr_square_underflow", "size_2",
         "size_3", "size_below_ssim_window", "sigma_y_negative", "kernel_std_negative",

@@ -20,6 +20,7 @@ from lflow.fields import (
     posterior_cov_scalar,
     posterior_mean,
 )
+from lflow.operators import CircConvOperator, build_gaussian_kernel
 
 T_GRID = np.linspace(0.05, 0.95, 19)
 
@@ -195,6 +196,53 @@ def test_callback_field_delegates_evaluation():
     assert mean_jacobian_scalar(field, 0.4) == pytest.approx(
         mean_jacobian_scalar(surrogate, 0.4), abs=1e-15
     )
+
+
+def _both_fields():
+    # The Gaussian field at a small and a unit width, and a callback field
+    # with a nonlinear velocity.
+    return [AnalyticGaussianField(sigma_latr=0.04), AnalyticGaussianField(sigma_latr=1.0),
+            CallbackField(lambda z, t: np.sin(z) - t * z, surrogate_sigma_latr=0.5)]
+
+
+def _rel_gap(got, want, scale):
+    # Relative to the state's scale: z - t v can cancel (the Gaussian field
+    # vanishes at its width's midpoint), so the gap is not measured against it.
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(scale)))
+
+
+@pytest.mark.parametrize("field", _both_fields(), ids=["analytic-0.04", "analytic-1", "callback"])
+def test_each_field_owns_its_denoised_mean_on_both_routes(field):
+    op = CircConvOperator(build_gaussian_kernel(3, 1.0), (8, 6))
+    z = np.random.default_rng(31).normal(size=(8, 6))
+    zc = op.apply_coeffs(z)
+    for t in (1e-3, 0.1, 0.37, 0.5, 0.8, 0.999):
+        v = eval_field(field, z, t)
+        # Plain route: v and z_bar = z - t v, by the field's own formula.
+        v_plain, zbar = field.velocity_and_mean(z, t)
+        np.testing.assert_array_equal(v_plain, v)
+        assert _rel_gap(zbar, z - t * v, z) <= 1e-15
+        np.testing.assert_array_equal(posterior_mean(field, z, t), zbar)
+        # Carried route: the coefficients of v and of z_bar from those of z.
+        v_carried, vc, zbar_c = field.velocity_and_coeffs(z, zc, t, op.apply_coeffs)
+        np.testing.assert_array_equal(v_carried, v)
+        assert _rel_gap(vc, op.apply_coeffs(v), zc) <= 1e-12
+        assert _rel_gap(zbar_c, zc - t * vc, zc) <= 1e-15
+
+
+@pytest.mark.parametrize("field", _both_fields(), ids=["analytic-0.04", "analytic-1", "callback"])
+def test_field_members_return_fresh_arrays_and_never_write_their_inputs(field):
+    op = CircConvOperator(build_gaussian_kernel(3, 1.0), (4, 4))
+    z = np.random.default_rng(32).normal(size=(4, 4))
+    zc = op.apply_coeffs(z)
+    z.flags.writeable = False
+    zc.flags.writeable = False
+    plain = field.velocity_and_mean(z, 0.3)
+    carried = field.velocity_and_coeffs(z, zc, 0.3, op.apply_coeffs)
+    # The closed form writes z_bar's coefficients and B_hat v in place.
+    for out in (plain[1], carried[1], carried[2]):
+        assert out.flags.writeable and not np.shares_memory(out, z)
+        assert not np.shares_memory(out, zc)
 
 
 def test_field_rejects_nonpositive_width():

@@ -25,7 +25,7 @@ from lflow.errors import (
     ShapeMismatchError,
     StepUnderflowError,
 )
-from lflow.fields import AnalyticGaussianField, CallbackField, CovarianceMode
+from lflow.fields import AnalyticGaussianField, CallbackField, CovarianceMode, posterior_mean
 from lflow.guidance import ConjugateGradientSolver, GuidanceSpec, corrected_velocity
 from lflow.numerics import gaussian_vector, make_rng
 from lflow.operators import (
@@ -237,8 +237,8 @@ def small_problem(sigma=1.0, seed=3):
 def test_identical_config_and_seed_reproduce_bits():
     field, dec, op, y = small_problem()
     config = SamplerConfig(seed=11, guidance=GuidanceSpec(sigma_y=0.1))
-    za, ta = sample_posterior(config, field, dec, op, y)
-    zb, tb = sample_posterior(config, field, dec, op, y)
+    za, ta = sample_posterior(config, field, dec, op, y, record_trace=True)
+    zb, tb = sample_posterior(config, field, dec, op, y, record_trace=True)
     np.testing.assert_array_equal(za, zb)
     assert ta.nfe == tb.nfe
     assert ta.times == tb.times
@@ -249,7 +249,7 @@ def test_fixed_step_evaluation_counts():
     # the shared grid loop must keep z + h f and z + (h/2)(k1 + k2) exactly.
     field, dec, op, y = small_problem()
     euler = SamplerConfig(solver=EulerSolver(steps=23), guidance=quiet_guidance())
-    z, traj = integrate(euler, field, dec, op, y, make_rng(0))
+    z, traj = integrate(euler, field, dec, op, y, make_rng(0), record_trace=True)
     assert traj.nfe == traj.accepted == 23
     assert len(traj.times) == traj.accepted + 1
     np.testing.assert_allclose(
@@ -257,7 +257,7 @@ def test_fixed_step_evaluation_counts():
         rtol=0.0, atol=1e-13,
     )
     heun = SamplerConfig(solver=HeunSolver(steps=23), guidance=quiet_guidance())
-    z, traj = integrate(heun, field, dec, op, y, make_rng(0))
+    z, traj = integrate(heun, field, dec, op, y, make_rng(0), record_trace=True)
     assert traj.nfe == 2 * traj.accepted == 46
     assert len(traj.times) == traj.accepted + 1
     np.testing.assert_allclose(
@@ -523,7 +523,7 @@ def test_adaptive_evaluation_accounting():
         solver=AdaptiveHeunSolver(atol=1e-7, rtol=1e-7),
         guidance=GuidanceSpec(sigma_y=0.1),
     )
-    _, traj = integrate(config, field, dec, op, y, make_rng(1))
+    _, traj = integrate(config, field, dec, op, y, make_rng(1), record_trace=True)
     # One bootstrap evaluation, one trial stage per attempt, and a fresh
     # first stage after every accepted step except the last.
     assert traj.nfe == 2 * traj.accepted + traj.rejected
@@ -534,7 +534,7 @@ def test_adaptive_evaluation_accounting():
 def test_trajectory_times_decrease_from_start_to_t_min():
     field, dec, op, y = small_problem()
     config = SamplerConfig(guidance=GuidanceSpec(sigma_y=0.1))
-    _, traj = integrate(config, field, dec, op, y, make_rng(2))
+    _, traj = integrate(config, field, dec, op, y, make_rng(2), record_trace=True)
     times = traj.times
     assert times[0] == config.t_s
     assert times[-1] == config.schedule.t_min
@@ -619,6 +619,17 @@ def test_final_denoise_closed_form_and_small_time_limit():
     assert c == pytest.approx(1.0, abs=2e-3)
 
 
+@pytest.mark.parametrize("field", [AnalyticGaussianField(sigma_latr=0.3),
+                                   CallbackField(lambda z, t: np.tanh(z) - z)],
+                         ids=["analytic", "callback"])
+def test_final_denoise_is_the_fields_posterior_mean(field):
+    z = make_rng(40).normal(size=(3, 5))
+    for t in (1e-3, 0.2, 0.7):
+        want = field.velocity_and_mean(z, t)[1]
+        np.testing.assert_array_equal(final_denoise(field, z, t), want)
+        np.testing.assert_array_equal(posterior_mean(field, z, t), want)
+
+
 def test_final_denoise_stays_within_the_residual_scale():
     field, dec, op, y = small_problem()
     config = SamplerConfig(guidance=GuidanceSpec(sigma_y=0.1))
@@ -676,7 +687,8 @@ def test_non_finite_velocity_raises_instead_of_underflowing():
     )
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteError, match="velocity became non-finite") as info:
-            integrate(config, CallbackField(field_fn), dec, op, np.zeros(4), make_rng(0))
+            integrate(config, CallbackField(field_fn), dec, op, np.zeros(4), make_rng(0),
+                      record_trace=True)
     traj = info.value.trajectory
     # Beyond a finished run's count: the first stage after the last
     # accepted step and the failed step's trial stage.
@@ -686,6 +698,40 @@ def test_non_finite_velocity_raises_instead_of_underflowing():
     assert t_failed <= 0.5
 
 
+def test_an_untraced_run_keeps_its_counters_and_fills_no_trace():
+    field, dec, op, y = small_problem()
+    config = SamplerConfig(guidance=GuidanceSpec(sigma_y=0.1))
+    z, traj = integrate(config, field, dec, op, y, make_rng(2))
+    z_traced, traced = integrate(config, field, dec, op, y, make_rng(2), record_trace=True)
+    np.testing.assert_array_equal(z, z_traced)
+    counters = ("nfe", "accepted", "rejected", "clamp_events", "t_last")
+    assert [getattr(traj, c) for c in counters] == [getattr(traced, c) for c in counters]
+    assert traj.accepted > 0 and traj.rejected > 0
+    assert traj.t_last == traced.times[-1] == config.schedule.t_min
+    assert len(traced.residual_norms) == traj.accepted + 1
+    assert traj.times == traj.nfe_cumulative == traj.state_norms == traj.residual_norms == []
+
+    # A NaN velocity still fails the untraced run, adaptive or fixed-step,
+    # and the error carries the counters of the steps before it.
+    def field_fn(z, t):
+        return np.full_like(z, np.nan) if t <= 0.5 else -z
+
+    dec = IdentityDecoder((2, 2))
+    op = MaskOperator(np.ones((2, 2)))
+    guidance = GuidanceSpec(cov_mode=CovarianceMode(kind="zero"), sigma_y=1.0)
+    for solver, message in ((AdaptiveHeunSolver(), "velocity became non-finite"),
+                            (EulerSolver(steps=10), "state became non-finite")):
+        config = SamplerConfig(solver=solver, guidance=guidance)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NonFiniteError, match=message) as info:
+                integrate(config, CallbackField(field_fn), dec, op, np.zeros(4), make_rng(0))
+        failed = info.value.trajectory
+        t_failed = float(str(info.value).rsplit("t=", 1)[1])
+        assert failed.accepted > 0 and t_failed <= 0.5
+        assert t_failed < failed.t_last
+        assert failed.times == failed.state_norms == []
+
+
 def test_finite_state_whose_norm_overflows_is_recorded():
     # Every entry is finite but the squared norm is not: the run goes on
     # and records an infinite state norm.
@@ -693,7 +739,7 @@ def test_finite_state_whose_norm_overflows_is_recorded():
     dec = IdentityDecoder((2, 2))
     op = MaskOperator(np.ones((2, 2)))
     config = SamplerConfig(solver=EulerSolver(steps=4), guidance=quiet_guidance())
-    z, traj = integrate(config, field, dec, op, np.zeros(4), make_rng(0))
+    z, traj = integrate(config, field, dec, op, np.zeros(4), make_rng(0), record_trace=True)
     assert np.all(np.isfinite(z))
     assert traj.accepted == 4
     assert traj.state_norms[-1] == np.inf
@@ -733,7 +779,7 @@ def test_persistent_rejection_underflows_the_step():
 def test_trajectory_csv_round_trip(tmp_path):
     field, dec, op, y = small_problem()
     config = SamplerConfig(guidance=GuidanceSpec(sigma_y=0.1))
-    _, traj = integrate(config, field, dec, op, y, make_rng(13), record_residuals=True)
+    _, traj = integrate(config, field, dec, op, y, make_rng(13), record_trace=True)
     path = tmp_path / "trace.csv"
     traj.to_csv(path)
     with open(path, newline="") as fh:

@@ -261,6 +261,12 @@ def test_singular_measurement_system_is_a_config_error():
                                    "guidance": {"cov_mode": "zero"}})
     assert TaskConfig(sigma_y=0.0, cov_mode="lflow").sigma_y == 0.0
     assert TaskConfig(sigma_y=0.01, cov_mode="zero").cov_mode == "zero"
+    # A noiseless config whose A A^T has exact zero eigenvalues (an 8-tap
+    # motion blur on the 64 grid) is singular in every mode.
+    with pytest.raises(ConfigError, match=r"\[task\] sigma_y = 0 .* 192 of the 2112"):
+        default_task_config("motion-deblur", kernel_length=8, sigma_y=0.0)
+    assert default_task_config("motion-deblur", kernel_length=8, sigma_y=1e-3).sigma_y == 1e-3
+    assert default_task_config("motion-deblur", sigma_y=0.0).sigma_y == 0.0
 
 
 @pytest.mark.parametrize("kind", ["gaussian-deblur", "super-resolution"])
@@ -381,15 +387,18 @@ def test_reconstruct_records_a_trajectory(tmp_path):
 
 
 def _counting_field_velocity(monkeypatch):
-    """Record every evaluation of the analytic field that a config builds."""
+    """Record every evaluation of the analytic field that a config builds,
+    through each member that evaluates it: the velocity alone, with the
+    denoised mean (the closed form's plain route), and with coefficients
+    (its carried route)."""
     calls = []
-    real = lflow.tasks.AnalyticGaussianField.velocity
+    cls = lflow.tasks.AnalyticGaussianField
+    for name in ("velocity", "velocity_and_mean", "velocity_and_coeffs"):
+        def counting(self, *args, _name=name, _real=getattr(cls, name)):
+            calls.append(_name)
+            return _real(self, *args)
 
-    def counting(self, z, t):
-        calls.append(t)
-        return real(self, z, t)
-
-    monkeypatch.setattr(lflow.tasks.AnalyticGaussianField, "velocity", counting)
+        monkeypatch.setattr(cls, name, counting)
     return calls
 
 
