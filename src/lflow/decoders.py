@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ShapeMismatchError, ZeroScaleError
-from .numerics import RealField, as_field, check_shape
+from .numerics import RealField, as_field, check_shape, matvec
 from .operators import DenseOperator, LinearOperatorDescriptor
 
 ENCODE_RIDGE = 1e-10
@@ -90,7 +90,7 @@ class LinearMatrixDecoder:
         self._encode_factor = None
 
     def decode(self, z: np.ndarray) -> RealField:
-        return (self.matrix @ z.ravel()).reshape(self.field_shape)
+        return matvec(self.matrix, z.ravel()).reshape(self.field_shape)
 
     def encode(self, x: np.ndarray) -> RealField:
         if self._encode_factor is None:
@@ -98,7 +98,7 @@ class LinearMatrixDecoder:
             mtm = mtm + ENCODE_RIDGE * np.eye(mtm.shape[0])
             self._encode_factor = np.linalg.cholesky(mtm)
         low = self._encode_factor
-        rhs = self.matrix.T @ x.ravel()
+        rhs = matvec(self.matrix.T, x.ravel())
         return np.linalg.solve(low.T, np.linalg.solve(low, rhs)).reshape(self.latent_shape)
 
     def compose(self, op: LinearOperatorDescriptor) -> DenseOperator:
@@ -163,8 +163,9 @@ def latent_operator(op: LinearOperatorDescriptor, decoder: DecoderSpec):
 
     A scale decoder gives a `ScaledOperator` over op's basis, or op
     itself at scale 1.0, and a matrix decoder M the `DenseOperator` with
-    columns A M[:, j] (any operator kind; its basis is the cached
-    eigendecomposition of B B^T), on op's measurement grid.
+    columns A M[:, j] (any operator kind; its basis is cached from B's
+    smaller side, `lflow.operators.DenseOperator`), on op's measurement
+    grid.
     """
     if decoder.field_shape != tuple(op.input_shape):
         raise ShapeMismatchError(f"decoder field shape {decoder.field_shape} is not "

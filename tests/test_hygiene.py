@@ -12,9 +12,9 @@ exists, so a rename fails here and not only in a traced benchmark run.
 `lflow.numerics` is the package's only route to numpy's FFT: no other
 package module names `np.fft` or imports from `numpy.fft`, so every
 transform goes through its checked or private pair. Likewise its `dot`
-is the only route to BLAS inner products: `.dot` and `.vdot` are named
-nowhere else in the package, so no result depends on the BLAS thread
-count through one.
+and `matvec` are the only routes to BLAS inner and matrix-vector
+products: `.dot` and `.vdot` are named nowhere else in the package, so
+no result depends on the BLAS thread count through one.
 
 The run path dispatches on the solver's own methods: `guidance.py` and
 `sampler.py` call `isinstance` nowhere.
@@ -178,16 +178,21 @@ def test_the_dot_scan_finds_every_form():
 
 
 def test_blas_inner_products_are_named_only_in_the_numerics_dot():
+    # numerics.dot (inner products) and numerics.matvec (matrix-vector
+    # products) each name `.dot` once; nothing else in the package does.
     numerics = (ROOT / "src" / "lflow" / "numerics.py").read_text(encoding="utf-8")
-    helper = next(node for node in ast.parse(numerics).body
-                  if isinstance(node, ast.FunctionDef) and node.name == "dot")
-    inside = range(helper.lineno, helper.end_lineno + 1)
+    helpers = {node.name: range(node.lineno, node.end_lineno + 1)
+               for node in ast.parse(numerics).body
+               if isinstance(node, ast.FunctionDef) and node.name in ("dot", "matvec")}
+    assert sorted(helpers) == ["dot", "matvec"]
     found = {}
     for path in sorted((ROOT / "src" / "lflow").glob("*.py")):
         lines = dot_references(path.read_text(encoding="utf-8"))
         if path.name == "numerics.py":
-            assert any(line in inside for line in lines)
-            lines = [line for line in lines if line not in inside]
+            for inside in helpers.values():
+                assert sum(line in inside for line in lines) == 1
+            lines = [line for line in lines
+                     if not any(line in inside for inside in helpers.values())]
         if lines:
             found[path.name] = lines
     assert not found, found

@@ -124,7 +124,9 @@ def basis_operators():
     (42, 42)/2, 15 at (45, 45)/3, 11 at (21, 33)/3) and factor 1. A scale
     decoder is folded into one operator of each kind (the conv-downsampler
     with the odd low-resolution width), and a matrix decoder into the
-    (45, 45)/3 conv-downsampler.
+    (45, 45)/3 conv-downsampler. Last come two tall dense matrices, whose
+    basis is the thin SVD: one of full column rank and one with a repeated
+    column (the suite turns any warning in building either into an error).
     """
     rng = make_rng(7)
     kernel = build_gaussian_kernel(5, 1.2)
@@ -144,7 +146,18 @@ def basis_operators():
         DenseOperator(rng.normal(size=(6, 20)), input_shape=(4, 5)),
         DenseOperator(rng.normal(size=(12, 12))),
     ]
-    return ops + latent_operators([ops[0], ops[2], ops[4], ops[10]], rng, ops[5])
+    return (ops + latent_operators([ops[0], ops[2], ops[4], ops[10]], rng, ops[5])
+            + tall_dense_operators())
+
+
+def tall_dense_operators():
+    """A 20 x 6 matrix on a (4, 5) output grid, and a 12 x 6 matrix on a
+    (2, 3) input grid whose last column repeats its third (rank 5)."""
+    rng = make_rng(8)
+    deficient = rng.normal(size=(12, 6))
+    deficient[:, 5] = deficient[:, 2]
+    return [DenseOperator(rng.normal(size=(20, 6)), output_shape=(4, 5)),
+            DenseOperator(deficient, input_shape=(2, 3))]
 
 
 def assert_rel_close(actual, expected, rtol=1e-12):
@@ -189,6 +202,65 @@ def test_adjoint_coeffs_leaves_its_coefficients_untouched(op):
     before = w.copy()
     op.adjoint_coeffs(w)
     np.testing.assert_array_equal(w, before)
+
+
+def test_a_tall_dense_basis_is_the_thin_svd_and_survives_rank_deficiency():
+    # m > n: n eigenvalues s^2 >= 0 and n orthonormal columns, also where a
+    # repeated column leaves a zero singular value (no division by it).
+    for op in tall_dense_operators():
+        m, n = op.matrix.shape
+        lam = op.gram_eigenvalues
+        q = op._basis[1].T
+        assert lam.shape == (n,) and q.shape == (m, n) and np.all(lam >= 0.0)
+        np.testing.assert_allclose(q.T @ q, np.eye(n), atol=1e-14)
+        assert_rel_close(op.matrix @ (op.matrix.T @ q), q * lam)
+    deficient = tall_dense_operators()[1].gram_eigenvalues
+    assert np.sort(deficient)[0] <= 1e-28 * np.max(deficient)
+
+
+def dense_matmul_cases():
+    """Criterion 07's 5 x 8 matrix, a square and a tall one, each on flat
+    and on 2-D grids."""
+    criterion_07 = make_rng(2026).normal(size=(5, 8))
+    rng = make_rng(9)
+    square, tall = rng.normal(size=(12, 12)), rng.normal(size=(20, 6))
+    cases = [(criterion_07, (8,), (5,)), (criterion_07, (2, 4), (5,)),
+             (square, (12,), (12,)), (square, (3, 4), (4, 3)),
+             (tall, (6,), (20,)), (tall, (2, 3), (4, 5))]
+    return [pytest.param(*case, id=f"{case[0].shape}-in{case[1]}-out{case[2]}")
+            for case in cases]
+
+
+@pytest.mark.parametrize("matrix, input_shape, output_shape", dense_matmul_cases())
+def test_dense_members_equal_their_matmul_formulas_bit_for_bit(matrix, input_shape,
+                                                               output_shape):
+    # numerics.matvec is ndarray.dot: the same BLAS gemv as `@`, so every
+    # member keeps the bits of the `@` formula, and the basis is eigh of
+    # A A^T for m <= n and the thin SVD for m > n.
+    op = DenseOperator(matrix, input_shape=input_shape, output_shape=output_shape)
+    m, n = matrix.shape
+    if m <= n:
+        lam, q = np.linalg.eigh(matrix @ matrix.T)
+    else:
+        q, s, _ = np.linalg.svd(matrix, full_matrices=False)
+        lam = s * s
+    rng = make_rng(m * n)
+    x = rng.normal(size=input_shape)
+    y = rng.normal(size=output_shape)
+    w = q.T @ y.ravel()
+    assert np.array_equal(op.gram_eigenvalues, lam)
+    for got, want in (
+        (op.apply(x), (matrix @ x.ravel()).reshape(output_shape)),
+        (op.adjoint(y), (matrix.T @ y.ravel()).reshape(input_shape)),
+        (op.coeffs(y), w),
+        (op.apply_coeffs(x), (q.T @ matrix) @ x.ravel()),
+        (op.adjoint_coeffs(w), ((matrix.T @ q) @ w).reshape(input_shape)),
+        (op.gram(y), (matrix @ (matrix.T @ y.ravel())).reshape(output_shape)),
+    ):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    dec = LinearMatrixDecoder(matrix, field_shape=output_shape)
+    z = rng.normal(size=n)
+    assert np.array_equal(dec.decode(z), (matrix @ z).reshape(output_shape))
 
 
 @pytest.mark.parametrize("side", [64, 256])

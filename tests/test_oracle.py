@@ -8,12 +8,12 @@ than on the package modules the oracle exists to validate.
 import numpy as np
 import pytest
 
-from lflow.decoders import DiagonalScaleDecoder
+from lflow.decoders import DiagonalScaleDecoder, LinearMatrixDecoder, latent_operator
 from lflow.errors import DimensionGuardError
 from lflow.fields import AnalyticGaussianField, CovarianceMode
-from lflow.guidance import GuidanceSpec, corrected_velocity
+from lflow.guidance import GuidanceSpec, corrected_velocity, make_velocity
 from lflow.numerics import make_rng
-from lflow.operators import DenseOperator
+from lflow.operators import CircConvOperator, DenseOperator, build_gaussian_kernel, dense_materialize
 from lflow.oracle import (
     LinearGaussianModel,
     conditional_score_velocity,
@@ -247,3 +247,26 @@ def test_k_pass_velocity_is_exact_only_at_one_pass():
     for t in (0.2, 0.5, 0.8):
         assert deviation(1, t) < 1e-10
     assert deviation(2, 0.5) > 0.5
+
+
+def test_tall_matrix_decoder_velocity_matches_the_oracle_at_16_squared():
+    # A 16^2 Gaussian blur behind an orthonormal 256 x 24 matrix decoder:
+    # B = A M is 256 x 24, so its basis is the thin SVD (24 modes, not
+    # 256). The closed form, pass by pass and fused, is still the exact
+    # conditional velocity of the same dense model.
+    rng = make_rng(16)
+    op = CircConvOperator(build_gaussian_kernel(5, 1.2), (16, 16))
+    q, _ = np.linalg.qr(rng.normal(size=(256, 24)))
+    dec = LinearMatrixDecoder(q, field_shape=(16, 16))
+    assert latent_operator(op, dec).gram_eigenvalues.shape == (24,)
+    model = LinearGaussianModel(dense_materialize(op), prior_std=1.0, sigma_y=0.05,
+                                decoder=dec)
+    field = AnalyticGaussianField(sigma_latr=1.0)
+    spec = GuidanceSpec(cov_mode=CovarianceMode(kind="lflow"), sigma_y=0.05, k_steps=1)
+    y = op.apply(dec.decode(rng.normal(size=24))) + 0.05 * rng.normal(size=(16, 16))
+    z = rng.normal(size=24)
+    fused = make_velocity(spec, field, dec, op, y)
+    for t in (0.2, 0.5, 0.8):
+        want = conditional_score_velocity(model, y, z, t)
+        for got in (corrected_velocity(spec, field, dec, op, y, z, t), fused(z, t)):
+            assert float(np.max(np.abs(got - want))) < 1e-10
