@@ -207,15 +207,16 @@ def test_adjoint_coeffs_leaves_its_coefficients_untouched(op):
 def test_a_tall_dense_basis_is_the_thin_svd_and_survives_rank_deficiency():
     # m > n: n eigenvalues s^2 >= 0 and n orthonormal columns, also where a
     # repeated column leaves a zero singular value (no division by it).
-    for op in tall_dense_operators():
+    ops = tall_dense_operators()
+    for op in ops:
         m, n = op.matrix.shape
         lam = op.gram_eigenvalues
         q = op._basis[1].T
         assert lam.shape == (n,) and q.shape == (m, n) and np.all(lam >= 0.0)
         np.testing.assert_allclose(q.T @ q, np.eye(n), atol=1e-14)
         assert_rel_close(op.matrix @ (op.matrix.T @ q), q * lam)
-    deficient = tall_dense_operators()[1].gram_eigenvalues
-    assert np.sort(deficient)[0] <= 1e-28 * np.max(deficient)
+    deficient = ops[1].gram_eigenvalues
+    assert np.min(deficient) <= 1e-28 * np.max(deficient)
 
 
 def dense_matmul_cases():

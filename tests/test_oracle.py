@@ -13,7 +13,12 @@ from lflow.errors import DimensionGuardError
 from lflow.fields import AnalyticGaussianField, CovarianceMode
 from lflow.guidance import GuidanceSpec, corrected_velocity, make_velocity
 from lflow.numerics import make_rng
-from lflow.operators import CircConvOperator, DenseOperator, build_gaussian_kernel, dense_materialize
+from lflow.operators import (
+    CircConvOperator,
+    DenseOperator,
+    build_gaussian_kernel,
+    dense_materialize,
+)
 from lflow.oracle import (
     LinearGaussianModel,
     conditional_score_velocity,
