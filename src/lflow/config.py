@@ -93,16 +93,16 @@ def parse_config_text(text: str) -> dict[str, dict]:
     Only keys present in the text appear in the result; the caller merges
     them over its defaults. Unknown sections or keys are errors.
     """
+    # No header can name the section "\n", so every header is one the schema
+    # checks, and a key before any header fails as malformed.
     parser = configparser.ConfigParser(
         interpolation=None, delimiters=("=",), comment_prefixes=("#",),
-        inline_comment_prefixes=None, strict=True, default_section="__default__",
+        inline_comment_prefixes=None, strict=True, default_section="\n",
     )
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
-    if parser.defaults():
-        raise ConfigError("keys are not allowed outside a section")
     result: dict[str, dict] = {}
     for section in parser.sections():
         if section not in CONFIG_SCHEMA:

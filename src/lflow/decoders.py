@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -87,19 +87,17 @@ class LinearMatrixDecoder:
         self.matrix = matrix
         self.latent_shape = (n,)
         self.field_shape = tuple(field_shape)
-        self._encode_factor = None
 
     def decode(self, z: np.ndarray) -> RealField:
         return matvec(self.matrix, z.ravel()).reshape(self.field_shape)
 
+    @cached_property
+    def _ridge_inverse(self) -> np.ndarray:
+        u, s, vt = np.linalg.svd(self.matrix, full_matrices=False)
+        return (vt.T * (s / (s * s + ENCODE_RIDGE))) @ u.T
+
     def encode(self, x: np.ndarray) -> RealField:
-        if self._encode_factor is None:
-            mtm = self.matrix.T @ self.matrix
-            mtm = mtm + ENCODE_RIDGE * np.eye(mtm.shape[0])
-            self._encode_factor = np.linalg.cholesky(mtm)
-        low = self._encode_factor
-        rhs = matvec(self.matrix.T, x.ravel())
-        return np.linalg.solve(low.T, np.linalg.solve(low, rhs)).reshape(self.latent_shape)
+        return matvec(self._ridge_inverse, x.ravel()).reshape(self.latent_shape)
 
     def compose(self, op: LinearOperatorDescriptor) -> DenseOperator:
         columns = [op.apply(col.reshape(self.field_shape)).ravel() for col in self.matrix.T]
@@ -118,8 +116,10 @@ def decode(decoder: DecoderSpec, latent) -> RealField:
 def encode(decoder: DecoderSpec, field) -> RealField:
     """Ridge least-squares preimage of a field under the decoder.
 
-    Solves (J^T J + 1e-10 I) c = J^T x, which is exact inversion for the
-    scale decoders up to the negligible ridge.
+    c = (J^T J + 1e-10 I)^{-1} J^T x, exact inversion for the scale decoders
+    up to the negligible ridge. Per singular value s of J it is
+    s / (s^2 + 1e-10): a matrix decoder applies V diag(s / (s^2 + 1e-10)) U^T
+    from its thin SVD J = U diag(s) V^T, cached on first use.
     """
     return decoder.encode(check_shape("encode", field, decoder.field_shape))
 
@@ -164,8 +164,7 @@ def latent_operator(op: LinearOperatorDescriptor, decoder: DecoderSpec):
     A scale decoder gives a `ScaledOperator` over op's basis, or op
     itself at scale 1.0, and a matrix decoder M the `DenseOperator` with
     columns A M[:, j] (any operator kind; its basis is cached from B's
-    smaller side, `lflow.operators.DenseOperator`), on op's measurement
-    grid.
+    thin SVD, `lflow.operators.DenseOperator`), on op's measurement grid.
     """
     if decoder.field_shape != tuple(op.input_shape):
         raise ShapeMismatchError(f"decoder field shape {decoder.field_shape} is not "

@@ -69,8 +69,9 @@ solve pays one matvec for its residual and still iterates once. The
 public `corrected_velocity` and `inner_vector` without a slot are the
 stateless cold reference: every solve starts from zero.
 
-Finiteness: `make_velocity` checks the measurement y once per run and
-raises NonFiniteError naming it, before the first evaluation. The
+Finiteness: `make_velocity` checks the measurement y's shape and entries
+once per run, before the first evaluation, and `corrected_velocity` and
+`likelihood_gradient` on every call; each error names y. The
 transforms inside an evaluation are the operators' unchecked ones (see
 `lflow.operators`); a state that turns non-finite fails in the sampler's
 checks, and in the CG route already at the residual's checked `apply`.
@@ -422,7 +423,7 @@ def _gradient_at_mean(spec: GuidanceSpec, b, y: np.ndarray, z0_mean: np.ndarray,
 def likelihood_gradient(spec: GuidanceSpec, field: VectorFieldSpec, dec: DecoderSpec,
                         op: LinearOperatorDescriptor, y, z, t: float) -> RealField:
     """Gradient of the measurement log-likelihood surrogate at state z, time t."""
-    y = as_field(y)
+    y = _checked_measurement(op, y)
     z = as_field(z)
     b = latent_operator(op, dec)
     return _gradient_at_mean(spec, b, y, posterior_mean(field, z, t),
@@ -456,7 +457,8 @@ def corrected_velocity(spec: GuidanceSpec, field: VectorFieldSpec, dec: DecoderS
     k re-derives the denoised mean from the velocity produced by pass k-1
     and rebuilds the gradient there.
     """
-    return _corrected_velocity(spec, field, latent_operator(op, dec), as_field(y), z, t)
+    y = _checked_measurement(op, y)
+    return _corrected_velocity(spec, field, latent_operator(op, dec), y, z, t)
 
 
 def make_velocity(spec: GuidanceSpec, field: VectorFieldSpec, dec: DecoderSpec,
@@ -471,5 +473,10 @@ def make_velocity(spec: GuidanceSpec, field: VectorFieldSpec, dec: DecoderSpec,
     non-finite measurement fails the run (ShapeMismatchError, NonFiniteError)
     before its first evaluation; the transforms inside an evaluation check nothing.
     """
-    y = require_finite("measurement y", check_shape("measurement y", y, op.output_shape))
+    y = _checked_measurement(op, y)
     return spec.solver.velocity(spec, field, latent_operator(op, dec), y)
+
+
+def _checked_measurement(op: LinearOperatorDescriptor, y) -> RealField:
+    """y on op's measurement grid and finite, or an error naming it."""
+    return require_finite("measurement y", check_shape("measurement y", y, op.output_shape))

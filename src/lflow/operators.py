@@ -46,16 +46,15 @@ purpose the order is spelled out instead: the adjoint writes
 np.multiply(conj_khat, tiled, out=tiled), the operand order of
 `conj_khat * tile`, which its owned tile would otherwise swap.
 
-The dense operator builds its basis from the smaller side of its m x n
-matrix A. For m <= n it is the eigenvectors of the m x m A A^T. For
-m > n, A A^T has rank at most n, so the basis is the n left singular
-vectors U of A's thin SVD, with eigenvalues s^2: an m^2 eigensolve
-(6.7 s at m = 4096 on a 2-vCPU VM) becomes an m x n SVD (0.02 s). The measurement
-coefficients it drops lie in the null space of A^T, which
-`adjoint_coeffs` maps to zero, so the closed form loses nothing. U stays
-orthonormal where A is rank-deficient; a zero singular value is only a
-zero eigenvalue, never a divisor. Every dense product with a vector goes
-through `lflow.numerics.matvec`.
+The dense operator takes its basis from the thin SVD of its m x n matrix
+A for every shape: the min(m, n) left singular vectors U, with
+eigenvalues s^2. For m > n, A A^T has rank at most n, and an m x n SVD
+(0.02 s at m = 4096, n = 64 on a 2-vCPU VM) replaces an m^2 eigensolve
+of A A^T (6.7 s); the measurement coefficients it drops lie in the null
+space of A^T, which `adjoint_coeffs` maps to zero, so the closed form
+loses nothing. U stays orthonormal where A is rank-deficient; a zero
+singular value is only a zero eigenvalue, never a divisor. Every dense
+product with a vector goes through `lflow.numerics.matvec`.
 
 `carry_coeffs` says whether a closed-form run should step a state's
 coefficients beside the state (`lflow.guidance`, `lflow.sampler`): true
@@ -63,8 +62,10 @@ for the convolution, whose `apply_coeffs` is a transform of the whole
 input grid, and false for the mask and the dense operator, whose
 coefficients cost a gather or a small product, less than carrying them.
 
-The fold and the tile that subsampling adds are the identity at s = 1,
-and there the convolution skips them: `apply_coeffs` and
+Subsampling acts only through its fold, which `lflow lemma-b1` checks
+against subsampling in space: `apply` inverts the folded product on the
+measurement grid. The fold and the tile are the identity at s = 1, and
+there the convolution skips them: `apply`, `apply_coeffs` and
 `gram_eigenvalues` take the product spectrum as it is, and the adjoint
 multiplies conj(k_hat) into a fresh product and leaves its input alone.
 At s > 1 each is one gather through a flat index table that `__init__`
@@ -176,7 +177,7 @@ class MaskOperator:
         return out.reshape(self.input_shape)
 
     def coeffs(self, y) -> np.ndarray:
-        return as_field(y)
+        return check_shape("mask coeffs", y, self.output_shape)
 
     def apply_coeffs(self, x) -> np.ndarray:
         return self.apply(x)
@@ -200,7 +201,8 @@ class ConvDownsampleOperator:
     (m1, m2//2 + 1) half-spectrum coefficients. Subsampling folds a full
     spectrum onto the mean of its s x s aliased blocks and zero-fill
     upsampling tiles it, so A A^T multiplies by the block-folded |k_hat|^2;
-    `gram` applies that with one transform pair on the low-resolution grid.
+    `gram` applies that with one transform pair on the low-resolution grid,
+    and `apply` inverts the folded product k_hat x_hat there.
 
     Both need entries that a half-spectrum does not store: the fold reads
     high-resolution columns j2 + b2 m2 up to (s - 1) m2 + m2//2, and the
@@ -287,8 +289,7 @@ class ConvDownsampleOperator:
 
     def apply(self, x) -> np.ndarray:
         x = check_shape(f"{self.kind} apply", x, self.input_shape)
-        blurred = _irdft2(self.khat * dft2_forward(x), self.input_shape)
-        return np.ascontiguousarray(blurred[:: self.factor, :: self.factor])
+        return _irdft2(self._fold(self.khat * dft2_forward(x)), self.output_shape)
 
     def adjoint(self, y) -> np.ndarray:
         return _irdft2(self._adjoint_spectrum(self.coeffs(y)), self.input_shape)
@@ -330,10 +331,10 @@ class DenseOperator:
     """Explicit matrix acting on flattened input, with flattened output
     unless an output shape is given.
 
-    Its basis Q, from the smaller side of A (module docstring), is cached
-    on first use together with Q^T A and A^T Q. `apply_coeffs` takes a
-    float64 array, a run's state, as it is: an evaluation does not
-    re-wrap it.
+    Its basis Q, the left singular vectors of A's thin SVD (module
+    docstring), is cached on first use together with Q^T A and A^T Q.
+    `apply_coeffs` takes a float64 array, a run's state, as it is: an
+    evaluation does not re-wrap it.
     """
 
     kind = "dense"
@@ -364,20 +365,15 @@ class DenseOperator:
 
     @cached_property
     def _basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        m, n = self.matrix.shape
-        if m <= n:
-            lam, q = np.linalg.eigh(self.matrix @ self.matrix.T)
-        else:
-            q, s, _ = np.linalg.svd(self.matrix, full_matrices=False)
-            lam = s * s
-        return lam, q.T, q.T @ self.matrix, self.matrix.T @ q
+        q, s, _ = np.linalg.svd(self.matrix, full_matrices=False)
+        return s * s, q.T, q.T @ self.matrix, self.matrix.T @ q
 
     @property
     def gram_eigenvalues(self) -> np.ndarray:
         return self._basis[0]
 
     def coeffs(self, y) -> np.ndarray:
-        return matvec(self._basis[1], as_field(y).ravel())
+        return matvec(self._basis[1], check_shape("dense coeffs", y, self.output_shape).ravel())
 
     def apply_coeffs(self, x) -> np.ndarray:
         return matvec(self._basis[2], x.ravel())

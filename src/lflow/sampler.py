@@ -347,8 +347,7 @@ def integrate(config: SamplerConfig, field: VectorFieldSpec, dec: DecoderSpec,
     lists are filled only when record_trace is true.
     """
     y = as_field(y)
-    schedule = config.schedule
-    t_min, t_max = schedule.t_min, schedule.t_max
+    t_min = config.schedule.t_min
     # make_velocity checks y, so a mis-shaped or non-finite one fails here by name.
     velocity = make_velocity(config.guidance, field, dec, op, y)
     z = init_state(config, dec, op, y, rng)
@@ -357,14 +356,12 @@ def integrate(config: SamplerConfig, field: VectorFieldSpec, dec: DecoderSpec,
     traj = Trajectory()
 
     def f(state, t, state_coeffs):
-        # Clamp t into the schedule's window, counting clamp events.
+        # Clamp t up to t_min, counting clamp events. No step goes above t_s,
+        # which SamplerConfig keeps at or below t_max.
         traj.nfe += 1
         if t < t_min:
             traj.clamp_events += 1
             t = t_min
-        elif t > t_max:
-            traj.clamp_events += 1
-            t = t_max
         if state_coeffs is None:
             return velocity(state, t), None
         return velocity(state, t, state_coeffs)

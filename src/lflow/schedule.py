@@ -1,9 +1,9 @@
 """The straight-line interpolation path and its clamp window.
 
 The package works on the path z_t = (1 - t) z0 + t z1: coefficient 1 - t
-on the data side, t on the noise side. The sampler clamps time to
-[t_min, t_max] before every velocity evaluation, since the formulas
-divide by t or 1 - t; the window defaults to [1e-3, 1 - 1e-3].
+on the data side, t on the noise side. The formulas divide by t or 1 - t,
+so a run keeps time in [t_min, t_max], by default [1e-3, 1 - 1e-3]: it
+starts at t_s <= t_max, moves down, and clamps stage times up to t_min.
 """
 
 from __future__ import annotations

@@ -101,6 +101,16 @@ def test_key_before_any_section_is_an_error():
         parse_config_text("seed = 3\n[sampler]\nseed = 4\n")
 
 
+@pytest.mark.parametrize("text", ["[__default__]\nseed = 3\n",
+                                  "[__default__]\n[run]\nout_dir = a\n",
+                                  "[DEFAULT]\nseed = 3\n"])
+def test_a_default_section_header_is_an_unknown_section(text):
+    # configparser's usual name for the section of shared defaults is just
+    # another header here, with keys or without.
+    with pytest.raises(ConfigError, match=r"unknown section \[(__default__|DEFAULT)\]"):
+        parse_config_text(text)
+
+
 def test_duplicate_keys_are_an_error():
     with pytest.raises(ConfigError):
         parse_config_text("[run]\nout_dir = a\nout_dir = b\n")

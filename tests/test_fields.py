@@ -159,6 +159,20 @@ def test_jacobian_bounds_pinned_values():
     assert lower == pytest.approx(-0.8, abs=1e-12)
 
 
+@pytest.mark.parametrize("gamma, t, message", [
+    (0.0, 0.5, "gamma must be > 0"),
+    (-1.0, 0.5, "gamma must be > 0"),
+    (1.0, 0.0, r"t must lie strictly inside \(0, 1\)"),
+    (1.0, 1.0, r"t must lie strictly inside \(0, 1\)"),
+    (1.0, -0.2, r"t must lie strictly inside \(0, 1\)"),
+    (1.0, 1.5, r"t must lie strictly inside \(0, 1\)"),
+])
+def test_jacobian_bounds_rejects_a_non_positive_gamma_or_t_outside_the_open_unit(
+        gamma, t, message):
+    with pytest.raises(ValueError, match=message):
+        jacobian_bounds(gamma, t)
+
+
 @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
 def test_gaussian_field_jacobian_sits_exactly_on_the_lower_bound(sigma):
     field = AnalyticGaussianField(sigma_latr=sigma)

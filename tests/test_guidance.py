@@ -20,7 +20,7 @@ import lflow.guidance
 import lflow.operators
 import lflow.sampler
 from lflow.decoders import DiagonalScaleDecoder, IdentityDecoder, LinearMatrixDecoder
-from lflow.errors import CgConvergenceError
+from lflow.errors import CgConvergenceError, NonFiniteError, ShapeMismatchError
 from lflow.fields import (
     COV_MODE_KINDS,
     AnalyticGaussianField,
@@ -33,6 +33,7 @@ from lflow.fields import (
 )
 from lflow.guidance import (
     ClosedFormSolver,
+    CgSlot,
     ConjugateGradientSolver,
     GuidanceSpec,
     conjugate_gradient,
@@ -594,6 +595,36 @@ def test_projected_cg_start_survives_collinear_histories():
             assert err < 1e-9, (t, err)
 
 
+@pytest.mark.parametrize("failure", ["LinAlgError", "non-finite c"])
+def test_a_failed_galerkin_start_solves_from_zero_and_meets_tol(failure, monkeypatch):
+    # With a history held, a start whose small system fails or gives a
+    # non-finite c is None, and the solve runs from zero: the bits of the
+    # slotless reference, with a residual within tol * ||rhs||.
+    op = cg_problem(39)[0]
+    rhs = make_rng(40).normal(size=op.output_shape)
+    solver = ConjugateGradientSolver()
+    sy2, r2 = 0.05**2, 0.3
+    slot = CgSlot()
+    slot.store(rhs, op.gram(rhs))
+    calls = []
+
+    def failing_lstsq(a, b, rcond=None):
+        calls.append(len(b))
+        if failure == "LinAlgError":
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+        return np.full(len(b), np.nan), np.zeros(0), len(b), np.ones(len(b))
+
+    monkeypatch.setattr(np.linalg, "lstsq", failing_lstsq)
+    assert slot.start(rhs, sy2, r2) is None
+    got = inner_vector(op, rhs, 0.05, r2, solver=solver, slot=slot)
+    assert calls == [1, 1]
+    assert np.array_equal(got, inner_vector(op, rhs, 0.05, r2, solver=solver))
+    u = conjugate_gradient(lambda v: sy2 * v + r2 * op.gram(v), rhs, solver.tol)
+    assert np.array_equal(got, op.adjoint(u))
+    residual = rhs - (sy2 * u + r2 * op.gram(u))
+    assert np.linalg.norm(residual) <= 1.01 * solver.tol * np.linalg.norm(rhs)
+
+
 def test_a_repeated_cg_solve_takes_one_matvec_per_pass(monkeypatch):
     # The previous solution spans the repeated solve's answer, so its
     # projected start passes the stopping rule at the residual's matvec.
@@ -968,6 +999,33 @@ def test_make_velocity_generic_fallback_for_structured_operators():
     np.testing.assert_allclose(
         velocity(z, 0.4), corrected_velocity(spec, field, dec, op, y, z, 0.4), atol=1e-14
     )
+
+
+@pytest.mark.parametrize("bad", ["one entry", "non-finite"])
+@pytest.mark.parametrize("entry", ["make_velocity", "corrected_velocity",
+                                   "likelihood_gradient"])
+@pytest.mark.parametrize("kind", ["mask", "circconv", "dense"])
+def test_every_guidance_entry_point_checks_the_measurement_by_name(kind, entry, bad):
+    # The reference entry points check y as make_velocity does: a single
+    # entry would broadcast against every residual, a NaN would flow through.
+    rng = make_rng(41)
+    op = make_operator(kind, rng)
+    field = AnalyticGaussianField(sigma_latr=0.5)
+    dec = IdentityDecoder(op.input_shape)
+    spec = GuidanceSpec(sigma_y=0.05)
+    z = rng.normal(size=op.input_shape)
+    if bad == "one entry":
+        y, error = np.zeros(1), ShapeMismatchError
+    else:
+        y, error = rng.normal(size=op.output_shape), NonFiniteError
+        y.flat[y.size // 2] = np.nan
+    call = {
+        "make_velocity": lambda: make_velocity(spec, field, dec, op, y),
+        "corrected_velocity": lambda: corrected_velocity(spec, field, dec, op, y, z, 0.5),
+        "likelihood_gradient": lambda: likelihood_gradient(spec, field, dec, op, y, z, 0.5),
+    }[entry]
+    with pytest.raises(error, match="measurement y"):
+        call()
 
 
 def test_guidance_spec_validation():

@@ -16,6 +16,10 @@ and `matvec` are the only routes to BLAS inner and matrix-vector
 products: `.dot` and `.vdot` are named nowhere else in the package, so
 no result depends on the BLAS thread count through one.
 
+Every dense factorization outside the oracle is the thin SVD: no package
+module but `oracle.py`, whose independent Cholesky solves are the
+reference, names `eigh` or `cholesky`.
+
 The run path dispatches on the solver's own methods: `guidance.py` and
 `sampler.py` call `isinstance` nowhere.
 
@@ -196,6 +200,40 @@ def test_blas_inner_products_are_named_only_in_the_numerics_dot():
         if lines:
             found[path.name] = lines
     assert not found, found
+
+
+def factorization_references(source: str) -> list[int]:
+    """Lines that name `eigh` or `cholesky`: as an attribute (`np.linalg.eigh`,
+    `la.cholesky`) or as a name imported from a module."""
+    names = ("eigh", "cholesky")
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and any(a.name in names for a in node.names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_factorization_scan_finds_every_form():
+    source = (
+        "import numpy as np\n"
+        "from numpy.linalg import cholesky\n"
+        "a = np.linalg.eigh(m)\n"
+        "b = np.linalg.svd(m)\n"
+        "c = scipy.linalg.cholesky(m)\n"
+        "eigh = 1\n"
+    )
+    assert factorization_references(source) == [2, 3, 5]
+
+
+def test_dense_factorizations_outside_the_oracle_are_the_thin_svd():
+    found = {p.name: factorization_references(p.read_text(encoding="utf-8"))
+             for p in sorted((ROOT / "src" / "lflow").glob("*.py"))}
+    assert found["oracle.py"]
+    outside = {name: lines for name, lines in found.items()
+               if lines and name != "oracle.py"}
+    assert not outside, outside
 
 
 def isinstance_calls(source: str) -> list[int]:

@@ -221,13 +221,17 @@ def test_a_tall_dense_basis_is_the_thin_svd_and_survives_rank_deficiency():
 
 def dense_matmul_cases():
     """Criterion 07's 5 x 8 matrix, a square and a tall one, each on flat
-    and on 2-D grids."""
+    and on 2-D grids, and a wide 4 x 9 matrix whose last row repeats its
+    first (rank 3)."""
     criterion_07 = make_rng(2026).normal(size=(5, 8))
     rng = make_rng(9)
     square, tall = rng.normal(size=(12, 12)), rng.normal(size=(20, 6))
+    wide_deficient = rng.normal(size=(4, 9))
+    wide_deficient[3] = wide_deficient[0]
     cases = [(criterion_07, (8,), (5,)), (criterion_07, (2, 4), (5,)),
              (square, (12,), (12,)), (square, (3, 4), (4, 3)),
-             (tall, (6,), (20,)), (tall, (2, 3), (4, 5))]
+             (tall, (6,), (20,)), (tall, (2, 3), (4, 5)),
+             (wide_deficient, (3, 3), (4,))]
     return [pytest.param(*case, id=f"{case[0].shape}-in{case[1]}-out{case[2]}")
             for case in cases]
 
@@ -236,15 +240,12 @@ def dense_matmul_cases():
 def test_dense_members_equal_their_matmul_formulas_bit_for_bit(matrix, input_shape,
                                                                output_shape):
     # numerics.matvec is ndarray.dot: the same BLAS gemv as `@`, so every
-    # member keeps the bits of the `@` formula, and the basis is eigh of
-    # A A^T for m <= n and the thin SVD for m > n.
+    # member keeps the bits of the `@` formula, and the basis is the thin
+    # SVD for every shape.
     op = DenseOperator(matrix, input_shape=input_shape, output_shape=output_shape)
     m, n = matrix.shape
-    if m <= n:
-        lam, q = np.linalg.eigh(matrix @ matrix.T)
-    else:
-        q, s, _ = np.linalg.svd(matrix, full_matrices=False)
-        lam = s * s
+    q, s, _ = np.linalg.svd(matrix, full_matrices=False)
+    lam = s * s
     rng = make_rng(m * n)
     x = rng.normal(size=input_shape)
     y = rng.normal(size=output_shape)
@@ -296,12 +297,11 @@ def test_apply_and_adjoint_keep_the_checked_pair_bits_and_input_checks(side):
     kernel = build_gaussian_kernel(7, 1.5)
     for op in (CircConvOperator(kernel, (side, side)),
                ConvDownsampleOperator(build_bicubic_kernel(2), (side, side), 2)):
-        s = op.factor
         x = rng.normal(size=op.input_shape)
         y = rng.normal(size=op.output_shape)
         # The product spectra as the members spell them: numpy's operand
         # order for a large complex product depends on the spelling.
-        apply_ref = dft2_inverse(op.khat * dft2_forward(x), op.input_shape)[::s, ::s]
+        apply_ref = dft2_inverse(op._fold(op.khat * dft2_forward(x)), op.output_shape)
         adjoint_ref = dft2_inverse(op._adjoint_spectrum(op.coeffs(y)), op.input_shape)
         assert np.array_equal(op.apply(x), apply_ref)
         assert np.array_equal(op.adjoint(y), adjoint_ref)
@@ -561,6 +561,37 @@ def test_box_mask_rejects_out_of_bounds_boxes():
 def test_kernel_rejects_even_sides():
     with pytest.raises(ValueError):
         Kernel(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: Kernel(np.ones(3)), "kernel taps must be 2-D", id="kernel-1d"),
+    pytest.param(lambda: Kernel(np.ones((3, 3, 3))), "kernel taps must be 2-D",
+                 id="kernel-3d"),
+    pytest.param(lambda: MaskOperator(np.ones(4)), "mask must be a 2-D field", id="mask-1d"),
+    pytest.param(lambda: MaskOperator(np.ones((2, 2, 1))), "mask must be a 2-D field",
+                 id="mask-3d"),
+    pytest.param(lambda: DenseOperator(np.ones(4)), "dense operator needs a 2-D matrix",
+                 id="dense-1d"),
+    pytest.param(lambda: DenseOperator(np.ones((2, 6)), input_shape=(4,)),
+                 r"input shape \(4,\) does not flatten to 6", id="dense-input-shape"),
+    pytest.param(lambda: DenseOperator(np.ones((2, 6)), output_shape=(3,)),
+                 r"output shape \(3,\) does not flatten to 2", id="dense-output-shape"),
+    pytest.param(lambda: LinearMatrixDecoder(np.ones(4)), "decoder matrix must be 2-D",
+                 id="decoder-1d"),
+    pytest.param(lambda: LinearMatrixDecoder(np.ones((6, 2)), field_shape=(2, 2)),
+                 r"field shape \(2, 2\) does not flatten to 6 rows", id="decoder-field-shape"),
+])
+def test_constructors_reject_a_wrong_rank_or_a_shape_that_does_not_flatten(build, message):
+    with pytest.raises(ShapeMismatchError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("idx", range(OPERATOR_COUNT))
+def test_coeffs_rejects_a_wrongly_shaped_measurement(idx):
+    # Every kind checks the measurement it expands, as its gram does.
+    op = make_operators(shape=(8, 6))[idx]
+    with pytest.raises(ShapeMismatchError, match=f"{op.kind.removeprefix('scaled-')} coeffs"):
+        op.coeffs(np.zeros((op.output_shape[0] + 1,) + op.output_shape[1:]))
 
 
 def test_embed_kernel_anchors_center_at_origin():

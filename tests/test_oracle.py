@@ -125,6 +125,13 @@ def test_marginal_loglik_matches_a_direct_density_evaluation():
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def test_marginal_loglik_rejects_a_system_that_is_not_positive_definite():
+    # Noiseless and zero covariance: S = 0, whose determinant has sign 0.
+    model = LinearGaussianModel(DenseOperator(make_rng(4).normal(size=(3, 5))), sigma_y=0.0)
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        marginal_loglik(model, np.ones(3), np.ones(5), 0.4, CovarianceMode(kind="zero"))
+
+
 def test_dense_guidance_is_the_loglik_gradient():
     rng = make_rng(5)
     model = LinearGaussianModel(DenseOperator(rng.normal(size=(3, 4))), sigma_y=0.2)

@@ -542,6 +542,55 @@ def test_trajectory_times_decrease_from_start_to_t_min():
     assert all(b >= a for a, b in zip(traj.nfe_cumulative, traj.nfe_cumulative[1:]))
 
 
+def _recording_make_velocity(monkeypatch, times, velocity_fn=None):
+    """Route integrate's velocity through a wrapper that records each time it
+    receives; velocity_fn(z, t), when given, replaces the guided velocity."""
+    real_make_velocity = lflow.sampler.make_velocity
+
+    def recording_make_velocity(*args):
+        velocity = real_make_velocity(*args) if velocity_fn is None else velocity_fn
+
+        def recorded(z, t):
+            times.append(t)
+            return velocity(z, t)
+        return recorded
+
+    monkeypatch.setattr(lflow.sampler, "make_velocity", recording_make_velocity)
+
+
+@pytest.mark.parametrize("solver", [AdaptiveHeunSolver(h_init=0.3), HeunSolver(steps=9),
+                                    EulerSolver(steps=9)], ids=lambda s: type(s).__name__)
+def test_the_velocity_sees_only_times_between_t_min_and_t_s(solver, monkeypatch):
+    # Started at t_s = t_max, no stage time lies above it: every stepper
+    # moves time down, also the adaptive one past a rejected step.
+    field, dec, op, y = small_problem()
+    schedule = PathSchedule()
+    config = SamplerConfig(t_s=schedule.t_max, solver=solver,
+                           guidance=GuidanceSpec(sigma_y=0.1))
+    times = []
+    _recording_make_velocity(monkeypatch, times)
+    _, traj = integrate(config, field, dec, op, y, make_rng(6))
+    assert len(times) == traj.nfe
+    assert max(times) == config.t_s == schedule.t_max
+    assert all(schedule.t_min <= t <= config.t_s for t in times)
+    assert traj.rejected >= (1 if isinstance(solver, AdaptiveHeunSolver) else 0)
+
+
+def test_a_zero_error_estimate_grows_the_step_fivefold_up_to_the_span(monkeypatch):
+    # A constant velocity makes k2 - k1 = 0, so every attempt reads err = 0
+    # and the next step is 5 h, clipped to what is left of the span.
+    field, dec, op, y = small_problem()
+    config = SamplerConfig(guidance=GuidanceSpec(sigma_y=0.1))
+    _recording_make_velocity(monkeypatch, [], lambda z, t: np.ones_like(z))
+    _, traj = integrate(config, field, dec, op, y, make_rng(7), record_trace=True)
+    t_min = config.schedule.t_min
+    h = config.solver.first_step(config.t_s - t_min)
+    steps = -np.diff(traj.times)
+    assert (traj.accepted, traj.rejected, traj.nfe) == (4, 0, 8)
+    np.testing.assert_allclose(steps[:3], [h, 5 * h, 25 * h], rtol=1e-13)
+    assert traj.times[-1] == t_min and steps[3] < 125 * h
+
+
 def test_tightening_tolerances_never_lowers_the_evaluation_count():
     field, dec, op, y = small_problem()
     counts = []
