@@ -368,6 +368,24 @@ def test_convolution_matches_brute_force_double_sum():
     )
 
 
+# Odd low-resolution sides (5x7, 3x3, 21x21, 7x11, 3x2) and s in {2, 3, 4, 5}.
+SUBSAMPLE_CASES = [((10, 14), 2), ((9, 9), 3), ((42, 42), 2), ((21, 33), 3),
+                   ((16, 16), 4), ((15, 10), 5)]
+
+
+@pytest.mark.parametrize("shape, s", SUBSAMPLE_CASES,
+                         ids=[f"{h}x{w}-s{s}" for (h, w), s in SUBSAMPLE_CASES])
+def test_downsampler_apply_matches_the_brute_force_sum_subsampled_in_space(shape, s):
+    # `apply` inverts the folded spectrum; the reference never leaves space.
+    rng = make_rng(shape[0] * 10 + s)
+    taps = rng.normal(size=(3, 5))
+    op = ConvDownsampleOperator(Kernel(taps), shape, s)
+    x = rng.normal(size=shape)
+    np.testing.assert_allclose(
+        op.apply(x), brute_force_circular_convolution(taps, x)[::s, ::s], atol=1e-12
+    )
+
+
 def test_convolution_adjoint_is_convolution_with_reversed_kernel():
     taps = make_rng(3).normal(size=(3, 3))
     op = CircConvOperator(Kernel(taps), (8, 8))
